@@ -36,37 +36,38 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Build(AccessConstraint constraint,
       new AcIndex(std::move(constraint), std::move(x_cols), std::move(y_cols),
                   heap.num_shards()));
   index->dict_ = heap.dict();
+  // The index is not shared yet: no write mutex, and one scratch key
+  // reused across rows (InsertRow copies it only for a new bucket).
+  ValueVec key;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    index->OnInsert(it.row());
+    if (!index->ProjectKey(it.row(), &key)) continue;
+    index->InsertRow(index->shards_[index->ShardOfKey(key)].get(), key,
+                     it.row());
   }
   return index;
 }
 
-ValueVec AcIndex::KeyOf(const Row& row) const {
-  ValueVec key;
-  key.reserve(x_cols_.size());
-  for (size_t c : x_cols_) key.push_back(row[c]);
-  return key;
+bool AcIndex::ProjectKey(const Row& row, ValueVec* key) const {
+  key->clear();
+  key->reserve(x_cols_.size());
+  for (size_t c : x_cols_) {
+    if (row[c].is_null()) return false;  // NULL X-values are not indexed
+    key->push_back(row[c]);
+  }
+  return true;
 }
 
-Row AcIndex::YProjectionOf(const Row& row) const {
-  Row y;
-  y.reserve(y_cols_.size());
-  for (size_t c : y_cols_) y.push_back(row[c]);
-  return y;
-}
-
-const std::vector<Row>* AcIndex::Lookup(const ValueVec& key) const {
-  const SubIndex& sub = *shards_[ShardOfKey(key)];
-  auto it = sub.buckets.find(key);
-  return it == sub.buckets.end() ? nullptr : &it->second.distinct_y;
+AcIndex::BucketView AcIndex::ViewOf(const Bucket& bucket) const {
+  return BucketView{bucket.cells.data(), bucket.mults.data(),
+                    static_cast<uint32_t>(bucket.mults.size()),
+                    static_cast<uint32_t>(y_cols_.size())};
 }
 
 AcIndex::BucketView AcIndex::FindIn(const SubIndex& sub,
                                     const ValueVec& key) const {
   auto it = sub.buckets.find(key);
   if (it == sub.buckets.end()) return BucketView{};
-  return BucketView{&it->second.distinct_y, &it->second.mults};
+  return ViewOf(it->second);
 }
 
 AcIndex::BucketView AcIndex::LookupWithCounts(const ValueVec& key) const {
@@ -129,24 +130,15 @@ void AcIndex::RemapDictCodes(const std::vector<uint32_t>& old_to_new) {
   };
   for (std::unique_ptr<SubIndex>& sub : shards_) {
     // Keys are const inside the map; extract() hands them back mutable.
-    // The remapped key hashes identically (ValueVecHash folds byte
-    // hashes, which a renumbering does not change), so re-insertion is
-    // collision-free by construction.
+    // Remapped values hash identically (hashes fold byte hashes, which a
+    // renumbering does not change), so re-insertion is collision-free by
+    // construction and every slot table stays valid as it is.
     decltype(sub->buckets) rebuilt;
     rebuilt.reserve(sub->buckets.size());
     while (!sub->buckets.empty()) {
       auto node = sub->buckets.extract(sub->buckets.begin());
       for (Value& v : node.key()) remap(&v);
-      Bucket& bucket = node.mapped();
-      for (Row& y : bucket.distinct_y) {
-        for (Value& v : y) remap(&v);
-      }
-      // positions keys mirror distinct_y; rebuild them from the remapped
-      // rows rather than extracting node-by-node.
-      bucket.positions.clear();
-      for (size_t i = 0; i < bucket.distinct_y.size(); ++i) {
-        bucket.positions.emplace(bucket.distinct_y[i], i);
-      }
+      for (Value& v : node.mapped().cells) remap(&v);
       rebuilt.insert(std::move(node));
     }
     sub->buckets = std::move(rebuilt);
@@ -154,64 +146,171 @@ void AcIndex::RemapDictCodes(const std::vector<uint32_t>& old_to_new) {
 }
 
 void AcIndex::OnInsert(const Row& row) {
-  ValueVec key = KeyOf(row);
-  for (const Value& v : key) {
-    if (v.is_null()) return;  // NULL X-values are not indexed
-  }
+  ValueVec key;
+  if (!ProjectKey(row, &key)) return;
   SubIndex& sub = *shards_[ShardOfKey(key)];
   // Writers whose rows hash to different heap shards may reach the same
   // sub-index; per-key order still equals the commit order they observed.
   std::lock_guard<std::mutex> lock(sub.write_mutex);
-  Bucket& bucket = sub.buckets[std::move(key)];
-  Row y = YProjectionOf(row);
-  auto it = bucket.positions.find(y);
-  if (it != bucket.positions.end()) {
-    ++bucket.mults[it->second];
-    return;
-  }
-  bucket.positions.emplace(y, bucket.distinct_y.size());
-  bucket.distinct_y.push_back(std::move(y));
-  bucket.mults.push_back(1);
-  ++sub.num_entries;
+  InsertRow(&sub, key, row);
 }
 
 void AcIndex::OnDelete(const Row& row) {
-  ValueVec key = KeyOf(row);
-  for (const Value& v : key) {
-    if (v.is_null()) return;
-  }
+  ValueVec key;
+  if (!ProjectKey(row, &key)) return;
   SubIndex& sub = *shards_[ShardOfKey(key)];
   std::lock_guard<std::mutex> lock(sub.write_mutex);
-  auto bucket_it = sub.buckets.find(key);
-  if (bucket_it == sub.buckets.end()) return;
-  Bucket& bucket = bucket_it->second;
-  Row y = YProjectionOf(row);
-  auto it = bucket.positions.find(y);
-  if (it == bucket.positions.end()) return;
-  size_t pos = it->second;
-  if (--bucket.mults[pos] > 0) return;
-  // Multiplicity hit zero: remove the distinct Y-value. Swap-with-last
-  // keeps removal O(1); fix the moved row's recorded position.
-  size_t last = bucket.distinct_y.size() - 1;
-  bucket.positions.erase(it);
-  if (pos != last) {
-    bucket.distinct_y[pos] = std::move(bucket.distinct_y[last]);
-    bucket.mults[pos] = bucket.mults[last];
-    bucket.positions[bucket.distinct_y[pos]] = pos;
+  DeleteRow(&sub, key, row);
+}
+
+namespace {
+
+constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+/// Slot-table capacity for `n` entries: load factor at most 1/2.
+size_t SlotCapacity(size_t n) { return HashTableCapacity(2 * n); }
+
+}  // namespace
+
+uint64_t AcIndex::HashRowY(const Row& row) const {
+  uint64_t seed = kValueVecHashSeed;
+  for (size_t c : y_cols_) HashCombine(&seed, row[c].Hash());
+  return seed;
+}
+
+uint64_t AcIndex::HashEntry(const Bucket& bucket, uint32_t entry) const {
+  size_t arity = y_cols_.size();
+  const Value* cells = bucket.cells.data() + entry * arity;
+  uint64_t seed = kValueVecHashSeed;
+  for (size_t k = 0; k < arity; ++k) HashCombine(&seed, cells[k].Hash());
+  return seed;
+}
+
+bool AcIndex::EntryMatches(const Bucket& bucket, uint32_t entry,
+                           const Row& row) const {
+  size_t arity = y_cols_.size();
+  const Value* cells = bucket.cells.data() + entry * arity;
+  for (size_t k = 0; k < arity; ++k) {
+    if (cells[k] != row[y_cols_[k]]) return false;
   }
-  bucket.distinct_y.pop_back();
+  return true;
+}
+
+int64_t AcIndex::FindEntry(const Bucket& bucket, const Row& row,
+                           size_t* free_slot) const {
+  uint32_t n = static_cast<uint32_t>(bucket.mults.size());
+  if (bucket.slots.empty()) {
+    for (uint32_t e = 0; e < n; ++e) {
+      if (EntryMatches(bucket, e, row)) return e;
+    }
+    return -1;
+  }
+  size_t mask = bucket.slots.size() - 1;
+  for (size_t s = HashRowY(row) & mask;; s = (s + 1) & mask) {
+    uint32_t e = bucket.slots[s];
+    if (e == kEmptySlot) {
+      if (free_slot != nullptr) *free_slot = s;
+      return -1;
+    }
+    if (EntryMatches(bucket, e, row)) return e;
+  }
+}
+
+void AcIndex::RebuildSlots(Bucket* bucket) const {
+  uint32_t n = static_cast<uint32_t>(bucket->mults.size());
+  bucket->slots.assign(SlotCapacity(n), kEmptySlot);
+  size_t mask = bucket->slots.size() - 1;
+  for (uint32_t e = 0; e < n; ++e) {
+    size_t s = HashEntry(*bucket, e) & mask;
+    while (bucket->slots[s] != kEmptySlot) s = (s + 1) & mask;
+    bucket->slots[s] = e;
+  }
+}
+
+size_t AcIndex::SlotOf(const Bucket& bucket, uint32_t entry) const {
+  size_t mask = bucket.slots.size() - 1;
+  size_t s = HashEntry(bucket, entry) & mask;
+  while (bucket.slots[s] != entry) s = (s + 1) & mask;
+  return s;
+}
+
+void AcIndex::EraseSlot(Bucket* bucket, uint32_t entry) const {
+  std::vector<uint32_t>& slots = bucket->slots;
+  size_t mask = slots.size() - 1;
+  size_t hole = SlotOf(*bucket, entry);
+  slots[hole] = kEmptySlot;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless their home slot lies cyclically in (hole, s].
+  for (size_t s = (hole + 1) & mask; slots[s] != kEmptySlot;
+       s = (s + 1) & mask) {
+    size_t home = HashEntry(*bucket, slots[s]) & mask;
+    bool stays = hole <= s ? (home > hole && home <= s)
+                           : (home > hole || home <= s);
+    if (stays) continue;
+    slots[hole] = slots[s];
+    slots[s] = kEmptySlot;
+    hole = s;
+  }
+}
+
+void AcIndex::InsertRow(SubIndex* sub, const ValueVec& key, const Row& row) {
+  Bucket& bucket = sub->buckets[key];  // copies the key for a new bucket only
+  size_t free_slot = 0;
+  int64_t found = FindEntry(bucket, row, &free_slot);
+  if (found >= 0) {
+    ++bucket.mults[static_cast<size_t>(found)];
+    return;
+  }
+  uint32_t entry = static_cast<uint32_t>(bucket.mults.size());
+  for (size_t c : y_cols_) bucket.cells.push_back(row[c]);
+  bucket.mults.push_back(1);
+  ++sub->num_entries;
+  if (bucket.slots.empty()) {
+    if (entry + 1 > kLinearMax) RebuildSlots(&bucket);
+  } else if (bucket.slots.size() < SlotCapacity(entry + 1)) {
+    RebuildSlots(&bucket);
+  } else {
+    bucket.slots[free_slot] = entry;
+  }
+}
+
+void AcIndex::DeleteRow(SubIndex* sub, const ValueVec& key, const Row& row) {
+  auto it = sub->buckets.find(key);
+  if (it == sub->buckets.end()) return;
+  Bucket& bucket = it->second;
+  int64_t found = FindEntry(bucket, row, nullptr);
+  if (found < 0) return;
+  uint32_t pos = static_cast<uint32_t>(found);
+  if (--bucket.mults[pos] > 0) return;
+  // Multiplicity hit zero: remove the entry. Swap-with-last keeps removal
+  // O(1) and fixes the entry order every later fetch observes.
+  uint32_t last = static_cast<uint32_t>(bucket.mults.size() - 1);
+  if (!bucket.slots.empty()) {
+    EraseSlot(&bucket, pos);
+    if (pos != last) bucket.slots[SlotOf(bucket, last)] = pos;
+  }
+  size_t arity = y_cols_.size();
+  if (pos != last) {
+    for (size_t k = 0; k < arity; ++k) {
+      bucket.cells[pos * arity + k] = std::move(bucket.cells[last * arity + k]);
+    }
+    bucket.mults[pos] = bucket.mults[last];
+  }
+  bucket.cells.resize(last * arity);
   bucket.mults.pop_back();
-  --sub.num_entries;
-  if (bucket.distinct_y.empty()) sub.buckets.erase(bucket_it);
+  --sub->num_entries;
+  if (bucket.mults.empty()) {
+    sub->buckets.erase(it);
+  } else if (!bucket.slots.empty() && last <= kLinearMax / 2) {
+    std::vector<uint32_t>().swap(bucket.slots);  // back to linear scans
+  }
 }
 
 void AcIndex::ForEachBucket(
-    const std::function<void(const ValueVec& key, const std::vector<Row>& ys,
-                             const std::vector<size_t>& mults)>& fn) const {
+    const std::function<void(const ValueVec& key, const BucketView& bucket)>&
+        fn) const {
   for (const std::unique_ptr<SubIndex>& sub : shards_) {
-    for (const auto& [key, bucket] : sub->buckets) {
-      fn(key, bucket.distinct_y, bucket.mults);
-    }
+    for (const auto& [key, bucket] : sub->buckets) fn(key, ViewOf(bucket));
   }
 }
 
@@ -226,21 +325,20 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Restore(
       new AcIndex(std::move(constraint), std::move(x_cols), std::move(y_cols),
                   heap.num_shards()));
   index->dict_ = heap.dict();
+  size_t arity = index->y_cols_.size();
   for (RestoredBucket& restored : buckets) {
-    if (restored.ys.size() != restored.mults.size()) {
-      return Status::Internal("restored bucket ys/mults size mismatch");
+    if (restored.cells.size() != restored.mults.size() * arity) {
+      return Status::Internal("restored bucket cells/mults size mismatch");
     }
     SubIndex& sub = *index->shards_[index->ShardOfKey(restored.key)];
     Bucket& bucket = sub.buckets[std::move(restored.key)];
-    if (!bucket.distinct_y.empty()) {
+    if (!bucket.mults.empty()) {
       return Status::Internal("duplicate restored bucket key");
     }
-    bucket.distinct_y = std::move(restored.ys);
+    bucket.cells = std::move(restored.cells);
     bucket.mults = std::move(restored.mults);
-    for (size_t i = 0; i < bucket.distinct_y.size(); ++i) {
-      bucket.positions.emplace(bucket.distinct_y[i], i);
-    }
-    sub.num_entries += bucket.distinct_y.size();
+    if (bucket.mults.size() > kLinearMax) index->RebuildSlots(&bucket);
+    sub.num_entries += bucket.mults.size();
   }
   return index;
 }
@@ -261,21 +359,52 @@ size_t AcIndex::MaxBucketSize() const {
   size_t max_size = 0;
   for (const auto& sub : shards_) {
     for (const auto& [key, bucket] : sub->buckets) {
-      max_size = std::max(max_size, bucket.distinct_y.size());
+      max_size = std::max(max_size, bucket.mults.size());
     }
   }
   return max_size;
 }
 
+uint64_t AcIndex::EstimateBytes(uint64_t num_keys, uint64_t num_entries,
+                                size_t x_arity, size_t y_arity) {
+  // Per key: the hash-map node (next pointer, key vector, bucket, cached
+  // hash), its bucket-array slot, and the key's cells. Per entry: the Y
+  // cells and the multiplicity. Slot tables of large buckets and vector
+  // growth slack are left out: the model is what a compact build holds.
+  constexpr uint64_t kNodeBytes = sizeof(void*) + sizeof(ValueVec) +
+                                  sizeof(Bucket) + sizeof(size_t) +
+                                  sizeof(void*);
+  uint64_t per_key = kNodeBytes + x_arity * sizeof(Value);
+  uint64_t per_entry = y_arity * sizeof(Value) + sizeof(uint32_t);
+  return num_keys * per_key + num_entries * per_entry;
+}
+
 uint64_t AcIndex::ApproxBytes() const {
-  // Values are tagged unions: ~32 bytes inline + string bodies ignored.
-  constexpr uint64_t kValueBytes = 32;
-  constexpr uint64_t kBucketOverhead = 64;
-  uint64_t key_bytes = static_cast<uint64_t>(NumKeys()) *
-                       (x_cols_.size() * kValueBytes + kBucketOverhead);
-  uint64_t entry_bytes = static_cast<uint64_t>(NumEntries()) *
-                         (y_cols_.size() * kValueBytes + 16);
-  return key_bytes + entry_bytes;
+  // Under each sub-index's write mutex, so monitoring may sample it while
+  // writers maintain the index.
+  uint64_t keys = 0;
+  uint64_t entries = 0;
+  for (const auto& sub : shards_) {
+    std::lock_guard<std::mutex> lock(sub->write_mutex);
+    keys += sub->buckets.size();
+    entries += sub->num_entries;
+  }
+  return EstimateBytes(keys, entries, x_cols_.size(), y_cols_.size());
+}
+
+uint64_t AcIndex::HeldBytes() const {
+  uint64_t bytes = 0;
+  for (const auto& sub : shards_) {
+    bytes += sub->buckets.bucket_count() * sizeof(void*);
+    for (const auto& [key, bucket] : sub->buckets) {
+      bytes += sizeof(void*) + sizeof(key) + sizeof(bucket) + sizeof(size_t);
+      bytes += key.capacity() * sizeof(Value);
+      bytes += bucket.cells.capacity() * sizeof(Value) +
+               bucket.mults.capacity() * sizeof(uint32_t) +
+               bucket.slots.capacity() * sizeof(uint32_t);
+    }
+  }
+  return bytes;
 }
 
 }  // namespace beas

@@ -23,9 +23,23 @@ class TaskPool;
 /// this index is what gives BEAS its "reduced redundancy" property (§1
 /// feature 2): no duplicated Y values, no unused attributes.
 ///
-/// The index is incrementally maintainable (paper §3 maintenance module):
-/// each bucket keeps a multiplicity count per distinct Y-value, so inserts
-/// and deletes are O(1) expected, independent of |D|.
+/// ## Flat buckets
+///
+/// A bucket is one `std::vector<Value>` of n × |Y| cells (entry b's Y
+/// tuple is cells [b·|Y|, (b+1)·|Y|)) plus a parallel vector of n
+/// multiplicities — the bag weight of each partial tuple, so inserts and
+/// deletes are O(1) expected, independent of |D| (paper §3 maintenance
+/// module). Each distinct Y is stored once. New Y-values append; a delete
+/// that drops a multiplicity to zero moves the last entry into the hole
+/// (swap-with-last), so entry order is the maintenance order every fetch
+/// observes downstream.
+///
+/// Deduplication on insert scans the cells linearly while a bucket holds
+/// at most kLinearMax entries. Past that it keeps an open-addressing table
+/// of uint32 entry positions, hashed by the Y tuple (linear probing,
+/// backward-shift deletion); a bucket that shrinks back to half that size
+/// drops the table and scans again. Readers never see the table: a
+/// BucketView is just {cells, mults, n, arity}.
 ///
 /// Rows whose X-projection contains NULL are not indexed (SQL equality
 /// never matches NULL keys).
@@ -70,25 +84,29 @@ class AcIndex {
   static Result<std::unique_ptr<AcIndex>> Build(AccessConstraint constraint,
                                                 const TableHeap& heap);
 
-  /// Returns the bucket for `key` (X-projection values, in x_attrs order),
-  /// or nullptr if no tuple has this X-value. The returned rows are the
-  /// distinct Y-projections, arity |Y|.
-  const std::vector<Row>* Lookup(const ValueVec& key) const;
-
-  /// \brief A bucket with per-Y multiplicities.
+  /// \brief A read-only view of one bucket: `n` distinct Y-projections of
+  /// `arity` cells each, with their multiplicities.
   ///
-  /// `multiplicities[i]` is the number of base tuples projecting to
-  /// `rows[i]` — the bag weight of the partial tuple. BEAS fetches only
-  /// distinct partial tuples (paper feature 2, "reduced redundancy") yet
-  /// stays exact for SQL bag semantics (COUNT/SUM/AVG) by carrying these
-  /// weights through joins.
+  /// `mult(b)` is the number of base tuples projecting to entry b — the
+  /// bag weight of the partial tuple. BEAS fetches only distinct partial
+  /// tuples (paper feature 2, "reduced redundancy") yet stays exact for
+  /// SQL bag semantics (COUNT/SUM/AVG) by carrying these weights through
+  /// joins. A view is valid until the next write to its index.
   struct BucketView {
-    const std::vector<Row>* rows = nullptr;
-    const std::vector<size_t>* multiplicities = nullptr;
-    size_t size() const { return rows == nullptr ? 0 : rows->size(); }
+    const Value* cells = nullptr;
+    const uint32_t* mults = nullptr;
+    uint32_t n = 0;
+    uint32_t arity = 0;
+    size_t size() const { return n; }
+    /// Cell `pos` of entry `b`'s Y-projection.
+    const Value& at(size_t b, size_t pos) const {
+      return cells[b * arity + pos];
+    }
+    uint64_t mult(size_t b) const { return mults[b]; }
   };
 
-  /// Lookup returning Y-projections together with their multiplicities.
+  /// The bucket for `key` (X-projection values, in x_attrs order); empty
+  /// if no tuple has this X-value.
   BucketView LookupWithCounts(const ValueVec& key) const;
 
   /// \brief Batched probe: resolves `count` keys into `out[0..count)`.
@@ -150,31 +168,41 @@ class AcIndex {
   /// True if every bucket is within the declared bound N.
   bool Conforms() const { return MaxBucketSize() <= constraint_.limit_n; }
 
-  /// Rough memory footprint, for the discovery module's storage budget.
+  /// \name Footprint model.
+  ///
+  /// One formula for the index's resident bytes, shared with the
+  /// discovery profiler (which sizes candidate indexes before building
+  /// them): a fixed cost per distinct key and per distinct (X, Y) entry,
+  /// derived from sizeof(Value) and the flat bucket layout.
+  /// @{
+  static uint64_t EstimateBytes(uint64_t num_keys, uint64_t num_entries,
+                                size_t x_arity, size_t y_arity);
+
+  /// EstimateBytes over this index's current key and entry counts. Safe
+  /// to call while writers maintain the index.
   uint64_t ApproxBytes() const;
 
-  /// Extracts the X-projection of a full table row (the probe key).
-  ValueVec KeyOf(const Row& row) const;
-
-  /// Extracts the Y-projection of a full table row.
-  Row YProjectionOf(const Row& row) const;
+  /// Bytes the index's containers actually hold (walks every bucket;
+  /// tests pin ApproxBytes against it).
+  uint64_t HeldBytes() const;
+  /// @}
 
   /// \name Durability surface (checkpoint export / recovery restore).
   /// @{
-  /// Visits every bucket: (key, distinct Y-projections, multiplicities).
-  /// Bucket-internal vectors are in maintenance order (the order answers
-  /// depend on); bucket visit order is hash-map order — irrelevant, since
-  /// buckets are only ever addressed by key. Caller holds the structural
-  /// lock exclusively.
+  /// Visits every bucket. Entries are in maintenance order (the order
+  /// answers depend on); bucket visit order is hash-map order —
+  /// irrelevant, since buckets are only ever addressed by key. Caller
+  /// holds the structural lock exclusively.
   void ForEachBucket(
-      const std::function<void(const ValueVec& key, const std::vector<Row>& ys,
-                               const std::vector<size_t>& mults)>& fn) const;
+      const std::function<void(const ValueVec& key, const BucketView& bucket)>&
+          fn) const;
 
-  /// One checkpointed bucket, as parsed back from a segment.
+  /// One checkpointed bucket, as parsed back from a segment: `cells`
+  /// holds mults.size() Y-projections back to back.
   struct RestoredBucket {
     ValueVec key;
-    std::vector<Row> ys;
-    std::vector<size_t> mults;
+    std::vector<Value> cells;
+    std::vector<uint32_t> mults;
   };
 
   /// Rebuilds an index from checkpointed cells instead of a heap walk:
@@ -193,13 +221,16 @@ class AcIndex {
   AcIndex(AccessConstraint constraint, std::vector<size_t> x_cols,
           std::vector<size_t> y_cols, size_t num_shards);
 
+  /// Buckets with at most this many entries deduplicate by a linear
+  /// scan; larger ones keep a slot table (see the class comment).
+  static constexpr uint32_t kLinearMax = 16;
+
   struct Bucket {
-    /// Distinct Y-projections, stable order for determinism.
-    std::vector<Row> distinct_y;
-    /// Multiplicity of each distinct Y-value, parallel to distinct_y.
-    std::vector<size_t> mults;
-    /// Y-value -> position in distinct_y.
-    std::unordered_map<ValueVec, size_t, ValueVecHash, ValueVecEq> positions;
+    std::vector<Value> cells;     ///< n × |Y| cells, maintenance order
+    std::vector<uint32_t> mults;  ///< multiplicity per entry
+    /// Open-addressing table of entry positions (kEmptySlot = free);
+    /// empty while the bucket scans linearly.
+    std::vector<uint32_t> slots;
   };
 
   /// One hash partition of the key space.
@@ -220,6 +251,30 @@ class AcIndex {
   }
 
   BucketView FindIn(const SubIndex& sub, const ValueVec& key) const;
+  BucketView ViewOf(const Bucket& bucket) const;
+
+  /// Writes `row`'s X-projection into `key`; false if it holds a NULL.
+  bool ProjectKey(const Row& row, ValueVec* key) const;
+
+  /// Maintenance bodies; the caller holds `sub`'s write mutex or owns the
+  /// index outright (Build, Restore). `key` is the row's X-projection.
+  void InsertRow(SubIndex* sub, const ValueVec& key, const Row& row);
+  void DeleteRow(SubIndex* sub, const ValueVec& key, const Row& row);
+
+  /// Entry position of `row`'s Y-projection in `bucket`, or -1. With a
+  /// slot table, a miss reports the free slot the probe ended on.
+  int64_t FindEntry(const Bucket& bucket, const Row& row,
+                    size_t* free_slot) const;
+  bool EntryMatches(const Bucket& bucket, uint32_t entry,
+                    const Row& row) const;
+  /// Y-tuple hashes (the ValueVecHash fold) of a row's Y-projection and
+  /// of a stored entry.
+  uint64_t HashRowY(const Row& row) const;
+  uint64_t HashEntry(const Bucket& bucket, uint32_t entry) const;
+  /// Slot-table upkeep, for buckets past kLinearMax.
+  void RebuildSlots(Bucket* bucket) const;
+  size_t SlotOf(const Bucket& bucket, uint32_t entry) const;
+  void EraseSlot(Bucket* bucket, uint32_t entry) const;
 
   AccessConstraint constraint_;
   std::vector<size_t> x_cols_;

@@ -261,11 +261,11 @@ Result<BoundedExecutor::Fragment> BoundedExecutor::ExecuteFragmentScalar(
             if (xp != x_pos.end()) {
               out.push_back(key[xp->second]);
             } else {
-              out.push_back((*bucket.rows)[b][y_pos.at(attr.col)]);
+              out.push_back(bucket.at(b, y_pos.at(attr.col)));
             }
           }
           new_rows.push_back(std::move(out));
-          new_weights.push_back(t_weights[r] * (*bucket.multiplicities)[b]);
+          new_weights.push_back(t_weights[r] * bucket.mult(b));
         }
       }
     }
@@ -716,7 +716,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
           src_row.push_back(static_cast<uint32_t>(r));
           src_kid.push_back(id);
           src_b.push_back(static_cast<uint32_t>(b));
-          new_weights.push_back(w * (*bucket.multiplicities)[b]);
+          new_weights.push_back(w * bucket.mult(b));
         }
       }
     }
@@ -788,7 +788,7 @@ BoundedExecutor::ExecuteFragmentVectorized(
       auto value_at = [&](size_t i) -> const Value& {
         return osrc.from_key
                    ? canon_keys[src_kid[i]][osrc.pos]
-                   : (*buckets[src_kid[i]].rows)[src_b[i]][osrc.pos];
+                   : buckets[src_kid[i]].at(src_b[i], osrc.pos);
       };
       bool encoded = osrc.out_dict != nullptr;
       if (encoded) {

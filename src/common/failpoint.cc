@@ -80,7 +80,6 @@ void ParseEntry(Config* config, const std::string& entry) {
 }
 
 void ParseSpec(Config* config, const char* spec) {
-  config->points.clear();
   if (spec == nullptr || *spec == '\0') return;
   std::string s = spec;
   size_t start = 0;
@@ -98,7 +97,6 @@ void ParseSpec(Config* config, const char* spec) {
 /// once at the N-th hit. The two historical IO-fault sites keep their
 /// error action; everything else is a kill point.
 void ParseLegacySpec(Config* config, const char* spec) {
-  config->points.clear();
   if (spec == nullptr || *spec == '\0') return;
   std::string s = spec;
   size_t start = 0;
@@ -127,21 +125,45 @@ void ParseLegacySpec(Config* config, const char* spec) {
   }
 }
 
+/// The armed configuration is published as an immutable snapshot: arming
+/// builds a fresh Config and swaps the pointer, so a Point() that is
+/// iterating an older set never sees it change or disappear. Snapshots are
+/// retired, never freed — arming is a test/operator action, so the few
+/// hundred bytes each keeps are cheaper than reference counting every hit.
+/// Only the hit counters inside a snapshot change, and they are atomic.
+/// `any_armed` lets a disarmed Point() return after one load.
+struct Published {
+  std::atomic<bool> any_armed{false};
+  std::atomic<const Config*> config{nullptr};
+  std::mutex publish_mutex;  ///< serializes arming; never taken by Point()
+  std::vector<std::unique_ptr<const Config>> snapshots;
+};
+
+void Publish(Published* published, std::unique_ptr<Config> config) {
+  std::lock_guard<std::mutex> lock(published->publish_mutex);
+  bool armed = !config->points.empty();
+  published->config.store(config.get(), std::memory_order_release);
+  published->snapshots.push_back(std::move(config));
+  published->any_armed.store(armed, std::memory_order_release);
+}
+
 /// Parsed once per process, BEAS_FAIL_POINTS taking precedence over the
-/// legacy variable when both are set.
-Config& GlobalConfig() {
-  static Config config;
-  static bool parsed = [] {
+/// legacy variable when both are set. Never destroyed: threads may still
+/// hit Point() while the process exits.
+Published& GlobalPublished() {
+  static Published* published = [] {
+    auto* p = new Published;
+    auto config = std::make_unique<Config>();
     const char* spec = std::getenv("BEAS_FAIL_POINTS");
     if (spec != nullptr && *spec != '\0') {
-      ParseSpec(&config, spec);
+      ParseSpec(config.get(), spec);
     } else {
-      ParseLegacySpec(&config, std::getenv("BEAS_CRASH_POINT"));
+      ParseLegacySpec(config.get(), std::getenv("BEAS_CRASH_POINT"));
     }
-    return true;
+    Publish(p, std::move(config));
+    return p;
   }();
-  (void)parsed;
-  return config;
+  return *published;
 }
 
 /// Whether this hit of `armed` fires, advancing its trigger state.
@@ -167,16 +189,25 @@ bool Fires(ArmedPoint* armed) {
 
 }  // namespace
 
-void ArmForTesting(const char* spec) { ParseSpec(&GlobalConfig(), spec); }
+void ArmForTesting(const char* spec) {
+  auto config = std::make_unique<Config>();
+  ParseSpec(config.get(), spec);
+  Publish(&GlobalPublished(), std::move(config));
+}
 
 void ArmLegacyCrashSpec(const char* spec) {
-  ParseLegacySpec(&GlobalConfig(), spec);
+  auto config = std::make_unique<Config>();
+  ParseLegacySpec(config.get(), spec);
+  Publish(&GlobalPublished(), std::move(config));
 }
 
 Status Point(const char* site) {
-  Config& config = GlobalConfig();
-  if (config.points.empty()) return Status::OK();
-  for (auto& armed : config.points) {
+  Published& published = GlobalPublished();
+  if (!published.any_armed.load(std::memory_order_acquire)) {
+    return Status::OK();
+  }
+  const Config* config = published.config.load(std::memory_order_acquire);
+  for (const auto& armed : config->points) {
     if (armed->site != site) continue;
     if (!Fires(armed.get())) continue;
     switch (armed->action) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace beas {
 
@@ -94,7 +95,7 @@ inline thread_local uint64_t tls_cross_dict_translates = 0;
 /// the stored hash by code thereafter. Both must agree byte-for-byte —
 /// hash consistency between the inline and encoded representations of the
 /// same string is what keeps the two interchangeable in every container.
-inline uint64_t HashString(const std::string& s) {
+inline uint64_t HashString(std::string_view s) {
   ++tls_hash_string_calls;
   return HashBytes(s.data(), s.size());
 }

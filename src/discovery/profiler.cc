@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "asx/ac_index.h"
 #include "common/string_util.h"
 
 namespace beas {
@@ -57,11 +58,9 @@ Result<CandidateProfile> ProfileCandidate(const TableHeap& heap,
     profile.observed_n = std::max<uint64_t>(profile.observed_n, ys.size());
     profile.index_entries += ys.size();
   }
-  constexpr uint64_t kValueBytes = 32;
-  constexpr uint64_t kBucketOverhead = 64;
   profile.approx_bytes =
-      profile.num_keys * (x_cols.size() * kValueBytes + kBucketOverhead) +
-      profile.index_entries * (y_cols.size() * kValueBytes + 16);
+      AcIndex::EstimateBytes(profile.num_keys, profile.index_entries,
+                             x_cols.size(), y_cols.size());
   return profile;
 }
 

@@ -183,14 +183,14 @@ std::string BuildIndexPayload(const AcIndex& index) {
   WriteConstraint(&sink, index.constraint());
   ByteSink buckets;
   uint64_t num_buckets = 0;
-  index.ForEachBucket([&](const ValueVec& key, const std::vector<Row>& ys,
-                          const std::vector<size_t>& mults) {
+  index.ForEachBucket([&](const ValueVec& key,
+                          const AcIndex::BucketView& bucket) {
     ++num_buckets;
     WriteRow(&buckets, key);
-    buckets.PutU32(static_cast<uint32_t>(ys.size()));
-    for (size_t i = 0; i < ys.size(); ++i) {
-      WriteRow(&buckets, ys[i]);
-      buckets.PutU64(mults[i]);
+    buckets.PutU32(static_cast<uint32_t>(bucket.size()));
+    for (size_t b = 0; b < bucket.size(); ++b) {
+      WriteRow(&buckets, bucket.cells + b * bucket.arity, bucket.arity);
+      buckets.PutU64(bucket.mult(b));
     }
   });
   sink.PutU64(num_buckets);
@@ -206,19 +206,23 @@ Result<IndexRestore> ParseIndexPayload(ByteReader r) {
     return Status::IoError("truncated index segment");
   }
   out.buckets.reserve(num_buckets);
+  size_t arity = out.constraint.y_attrs.size();
   for (uint64_t b = 0; b < num_buckets; ++b) {
-    IndexBucketRestore bucket;
+    AcIndex::RestoredBucket bucket;
     BEAS_ASSIGN_OR_RETURN(bucket.key, ReadRow(&r));
     uint32_t ny = r.GetU32();
     if (!r.ok() || ny > r.remaining()) {
       return Status::IoError("truncated index bucket");
     }
-    bucket.ys.reserve(ny);
+    bucket.cells.reserve(static_cast<size_t>(ny) * arity);
     bucket.mults.reserve(ny);
     for (uint32_t i = 0; i < ny; ++i) {
-      BEAS_ASSIGN_OR_RETURN(Row y, ReadRow(&r));
-      bucket.ys.push_back(std::move(y));
-      bucket.mults.push_back(static_cast<size_t>(r.GetU64()));
+      BEAS_ASSIGN_OR_RETURN(uint32_t got, AppendRow(&r, &bucket.cells));
+      uint64_t mult = r.GetU64();
+      if (got != arity || mult == 0 || mult > UINT32_MAX) {
+        return Status::IoError("malformed index bucket entry");
+      }
+      bucket.mults.push_back(static_cast<uint32_t>(mult));
     }
     out.buckets.push_back(std::move(bucket));
   }

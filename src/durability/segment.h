@@ -103,14 +103,9 @@ struct ShardRowsRestore {
 };
 Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r);
 
-struct IndexBucketRestore {
-  ValueVec key;
-  std::vector<Row> ys;
-  std::vector<size_t> mults;
-};
 struct IndexRestore {
   AccessConstraint constraint;
-  std::vector<IndexBucketRestore> buckets;
+  std::vector<AcIndex::RestoredBucket> buckets;  ///< strings inline
 };
 Result<IndexRestore> ParseIndexPayload(ByteReader r);
 /// @}

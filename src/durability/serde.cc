@@ -73,22 +73,31 @@ Result<Value> ReadValue(ByteReader* r) {
   return v;
 }
 
-void WriteRow(ByteSink* sink, const Row& row) {
-  sink->PutU32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) WriteValue(sink, v);
+void WriteRow(ByteSink* sink, const Value* cells, size_t count) {
+  sink->PutU32(static_cast<uint32_t>(count));
+  for (size_t i = 0; i < count; ++i) WriteValue(sink, cells[i]);
 }
 
-Result<Row> ReadRow(ByteReader* r) {
+void WriteRow(ByteSink* sink, const Row& row) {
+  WriteRow(sink, row.data(), row.size());
+}
+
+Result<uint32_t> AppendRow(ByteReader* r, std::vector<Value>* out) {
   uint32_t arity = r->GetU32();
   if (!r->ok() || arity > r->remaining()) {
     return Status::IoError("truncated row header");
   }
-  Row row;
-  row.reserve(arity);
+  out->reserve(out->size() + arity);
   for (uint32_t i = 0; i < arity; ++i) {
     BEAS_ASSIGN_OR_RETURN(Value v, ReadValue(r));
-    row.push_back(std::move(v));
+    out->push_back(std::move(v));
   }
+  return arity;
+}
+
+Result<Row> ReadRow(ByteReader* r) {
+  Row row;
+  BEAS_RETURN_NOT_OK(AppendRow(r, &row).status());
   return row;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asx/access_constraint.h"
@@ -28,7 +29,7 @@ class ByteSink {
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
   /// Length-prefixed bytes (u32 length).
-  void PutString(const std::string& s) {
+  void PutString(std::string_view s) {
     PutU32(static_cast<uint32_t>(s.size()));
     PutRaw(s.data(), s.size());
   }
@@ -116,7 +117,11 @@ void WriteValue(ByteSink* sink, const Value& v);
 Result<Value> ReadValue(ByteReader* r);
 
 void WriteRow(ByteSink* sink, const Row& row);
+/// WriteRow over `count` cells stored elsewhere (a flat index bucket).
+void WriteRow(ByteSink* sink, const Value* cells, size_t count);
 Result<Row> ReadRow(ByteReader* r);
+/// Reads one row and appends its cells to `out`; returns its arity.
+Result<uint32_t> AppendRow(ByteReader* r, std::vector<Value>* out);
 /// @}
 
 /// \name Schema / constraint serde (DDL records, segment headers).

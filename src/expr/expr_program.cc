@@ -268,7 +268,7 @@ void FilterEncodedCmp(const BatchColumn& col, CompareOp cmp, const Value& lit,
     }
     return;
   }
-  const std::string& s = lit.AsString();
+  std::string_view s = lit.AsString();
   if (dict.is_sorted()) {
     // Order-preserving codes: the literal becomes a code bound once per
     // batch, each row is a uint32 compare. kNullCode (0xFFFFFFFF) sits
@@ -412,8 +412,8 @@ void FilterEncodedBetween(const BatchColumn& col, const Value& lo,
     std::fill(keep->begin(), keep->begin() + num_rows, 0);
     return;
   }
-  const std::string& lo_s = lo.AsString();
-  const std::string& hi_s = hi.AsString();
+  std::string_view lo_s = lo.AsString();
+  std::string_view hi_s = hi.AsString();
   if (dict.is_sorted()) {
     // Pass iff lb <= code < ub. kNullCode exceeds every real code, so
     // the upper bound rejects NULL rows for free.

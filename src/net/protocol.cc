@@ -43,7 +43,7 @@ void PutF64(std::string* out, double v) {
   PutU64(out, bits);
 }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }

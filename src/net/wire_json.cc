@@ -260,7 +260,7 @@ Result<Json> ParseJson(const std::string& text) {
   return Parser(text).Parse();
 }
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {

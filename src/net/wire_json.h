@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -42,7 +43,7 @@ struct Json {
 Result<Json> ParseJson(const std::string& text);
 
 /// Escapes a string for embedding in a JSON document (no quotes added).
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
 
 /// Renders a WireResponse as the HTTP adapter's JSON body. Errors become
 /// {"error":{"code":TOKEN,"http":N,"message":...}}; successes carry the

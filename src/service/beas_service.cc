@@ -109,7 +109,7 @@ void AppendValueKey(std::string* key, const Value& v) {
     }
     case TypeId::kString: {
       key->push_back('s');
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       AppendU64Key(key, s.size());
       *key += s;
       break;
@@ -722,6 +722,8 @@ Status BeasService::RefreshStatsTable() {
   double dict_rebuilds_total = 0;
   double num_tables = 0;
   double num_rows = 0;
+  double heap_bytes = 0;
+  double index_bytes = 0;
   size_t lock_shards = db_.num_shard_locks();
   std::vector<double> rows_per_shard(lock_shards, 0);
   std::vector<std::string> table_names;
@@ -740,6 +742,8 @@ Status BeasService::RefreshStatsTable() {
       }
       dict_rebuilds_total += static_cast<double>(gauges.rebuilds);
     }
+    // Index gauges sample under each sub-index's write mutex.
+    index_bytes = static_cast<double>(catalog_.TotalIndexBytes());
   }
   for (size_t s = 0; s < lock_shards; ++s) {
     Database::ShardReadScope scope(&db_, s);
@@ -753,6 +757,7 @@ Status BeasService::RefreshStatsTable() {
       // Lock id s protects every heap shard congruent to it.
       for (size_t h = s; h < heap.num_shards(); h += lock_shards) {
         rows_per_shard[s] += static_cast<double>(heap.ShardLiveRows(h));
+        heap_bytes += static_cast<double>(heap.ShardBytes(h));
       }
     }
     num_rows += rows_per_shard[s];
@@ -797,6 +802,8 @@ Status BeasService::RefreshStatsTable() {
   add("rows_live", num_rows);
   add("dict_strings_total", dict_strings);
   add("dict_bytes_total", dict_bytes);
+  add("heap_bytes_total", heap_bytes);
+  add("index_bytes_total", index_bytes);
   add("dict_sorted_tables", dict_sorted_tables);
   add("dict_rebuilds_total", dict_rebuilds_total);
   // Process-wide counters (like tls_hash_string_calls): a process hosting

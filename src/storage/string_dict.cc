@@ -5,7 +5,7 @@
 
 namespace beas {
 
-uint32_t StringDict::Intern(const std::string& s) {
+uint32_t StringDict::Intern(std::string_view s) {
   if ((strings_.size() + 1) * 2 > slots_.size()) Grow();
   uint64_t h = HashString(s);
   size_t slot = static_cast<size_t>(h) & mask_;
@@ -14,7 +14,7 @@ uint32_t StringDict::Intern(const std::string& s) {
     if (code == kNullCode) {
       code = static_cast<uint32_t>(strings_.size());
       slots_[slot] = code;
-      strings_.push_back(s);
+      strings_.emplace_back(s);
       hashes_.push_back(h);
       string_bytes_ += sizeof(std::string) + strings_.back().capacity();
       // Order tracking: one compare against the running maximum. A fresh
@@ -36,7 +36,7 @@ uint32_t StringDict::Intern(const std::string& s) {
   }
 }
 
-int64_t StringDict::FindWithHash(const std::string& s, uint64_t hash) const {
+int64_t StringDict::FindWithHash(std::string_view s, uint64_t hash) const {
   size_t slot = static_cast<size_t>(hash) & mask_;
   for (;;) {
     uint32_t code = slots_[slot];
@@ -105,7 +105,7 @@ Status StringDict::RestoreFrom(std::vector<std::string> strings, bool sorted,
   return Status::OK();
 }
 
-uint32_t StringDict::LowerBoundCode(const std::string& s) const {
+uint32_t StringDict::LowerBoundCode(std::string_view s) const {
   uint32_t lo = 0;
   uint32_t hi = static_cast<uint32_t>(strings_.size());
   while (lo < hi) {
@@ -119,7 +119,7 @@ uint32_t StringDict::LowerBoundCode(const std::string& s) const {
   return lo;
 }
 
-uint32_t StringDict::UpperBoundCode(const std::string& s) const {
+uint32_t StringDict::UpperBoundCode(std::string_view s) const {
   uint32_t lo = 0;
   uint32_t hi = static_cast<uint32_t>(strings_.size());
   while (lo < hi) {

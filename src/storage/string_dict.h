@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -16,7 +17,7 @@ namespace beas {
 ///
 /// This is the storage half of the dictionary-encoded string path. After
 /// interning, the hot layers stop touching bytes:
-///  * Value holds {dict, code} instead of an inline std::string, so
+///  * Value holds {dict, code} instead of inline bytes, so
 ///    copying a string value copies a pointer and a code;
 ///  * hashing is an array read (the byte hash is computed once, at intern
 ///    time, and stored next to the string);
@@ -78,18 +79,18 @@ class StringDict {
 
   /// Returns the code of `s`, appending it if absent. Codes are dense,
   /// stable, and assigned in first-appearance order.
-  uint32_t Intern(const std::string& s);
+  uint32_t Intern(std::string_view s);
 
   /// Returns the code of `s`, or -1 if it was never interned. Hashes the
   /// bytes once.
-  int64_t Find(const std::string& s) const {
+  int64_t Find(std::string_view s) const {
     return FindWithHash(s, HashString(s));
   }
 
   /// Find with a caller-supplied byte hash (e.g. another dictionary's
   /// precomputed hash for the same bytes, or a Value::Hash already in
   /// hand) — performs zero byte hashing itself.
-  int64_t FindWithHash(const std::string& s, uint64_t hash) const;
+  int64_t FindWithHash(std::string_view s, uint64_t hash) const;
 
   /// The interned string for `code`. Reference stable across Interns.
   const std::string& str(uint32_t code) const { return strings_[code]; }
@@ -123,10 +124,10 @@ class StringDict {
   /// Smallest code whose string is >= `s` (== size() when every interned
   /// string is < `s`). Only meaningful when is_sorted(); the range
   /// kernels use it to turn ordering literals into pure code bounds.
-  uint32_t LowerBoundCode(const std::string& s) const;
+  uint32_t LowerBoundCode(std::string_view s) const;
 
   /// Smallest code whose string is > `s` (== size() when none is).
-  uint32_t UpperBoundCode(const std::string& s) const;
+  uint32_t UpperBoundCode(std::string_view s) const;
   /// @}
 
   /// \brief Resets this (empty) dictionary to a checkpointed state:

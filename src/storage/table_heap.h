@@ -145,6 +145,19 @@ class TableHeap {
   /// under that shard's lock — see the stats snapshot in BeasService).
   size_t ShardLiveRows(size_t s) const { return shards_[s].num_live; }
 
+  /// Resident bytes of shard `s`'s rows (live and tombstoned): the row
+  /// vectors, their cells, the live flags and the rows' directory
+  /// entries. The dictionary is counted by DictGauges; the heap blocks of
+  /// long inline strings (tables without a dictionary) are not counted.
+  /// Same locking as ShardLiveRows.
+  uint64_t ShardBytes(size_t s) const {
+    const Shard& shard = shards_[s];
+    return shard.rows.capacity() * sizeof(Row) +
+           shard.rows.size() * (schema_.NumColumns() * sizeof(Value) +
+                                sizeof(SlotRef)) +
+           shard.live.capacity();
+  }
+
   /// \name Data version epoch.
   ///
   /// A monotone counter bumped by every mutation that can change a query

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
 #include "asx/ac_index.h"
 #include "asx/access_schema.h"
 #include "asx/conformance.h"
 #include "common/rng.h"
 #include "common/task_pool.h"
+#include "discovery/profiler.h"
 #include "maintenance/maintenance.h"
 #include "test_util.h"
 
@@ -30,6 +32,16 @@ AccessConstraint Psi1() {
   return {"psi1", "call", {"pnum", "date"}, {"recnum", "region"}, 3};
 }
 
+/// A bucket's Y-projections as rows, in bucket order.
+std::vector<Row> YRows(const AcIndex::BucketView& bucket) {
+  std::vector<Row> rows;
+  for (size_t b = 0; b < bucket.size(); ++b) {
+    const Value* cells = bucket.cells + b * bucket.arity;
+    rows.emplace_back(cells, cells + bucket.arity);
+  }
+  return rows;
+}
+
 TEST(AccessConstraintTest, ToStringAndResolve) {
   AccessConstraint c = Psi1();
   EXPECT_EQ(c.ToString(),
@@ -49,12 +61,15 @@ TEST(AcIndexTest, BuildAndLookup) {
   heap.InsertUnchecked({I(8), Dt("2016-03-15"), I(200), S("R2")});
   auto index = AcIndex::Build(Psi1(), heap);
   ASSERT_TRUE(index.ok());
-  const auto* bucket = (*index)->Lookup({I(7), Dt("2016-03-15")});
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 2u);
+  auto bucket = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
+  ASSERT_EQ(bucket.size(), 2u);
+  EXPECT_EQ(bucket.arity, 2u);
+  EXPECT_EQ(bucket.at(0, 0), I(100));
+  EXPECT_EQ(bucket.at(1, 0), I(101));
+  EXPECT_EQ(bucket.at(1, 1), S("R1"));
   EXPECT_EQ((*index)->NumKeys(), 3u);
   EXPECT_EQ((*index)->NumEntries(), 4u);
-  EXPECT_EQ((*index)->Lookup({I(9), Dt("2016-03-15")}), nullptr);
+  EXPECT_EQ((*index)->LookupWithCounts({I(9), Dt("2016-03-15")}).size(), 0u);
 }
 
 TEST(AcIndexTest, DistinctYDeduplicated) {
@@ -63,12 +78,24 @@ TEST(AcIndexTest, DistinctYDeduplicated) {
   heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
   heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100), S("R1")});
   auto index = AcIndex::Build(Psi1(), heap);
-  const auto* bucket = (*index)->Lookup({I(7), Dt("2016-03-15")});
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 1u) << "partial tuples are distinct";
   auto view = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_EQ((*view.multiplicities)[0], 2u) << "bag weight preserved";
+  ASSERT_EQ(view.size(), 1u) << "partial tuples are distinct";
+  EXPECT_EQ(view.mult(0), 2u) << "bag weight preserved";
+}
+
+TEST(AcIndexTest, EmptyYProjectionCountsRowsPerKey) {
+  TableHeap heap(CallSchema());
+  for (int i = 0; i < 3; ++i) {
+    heap.InsertUnchecked({I(7), Dt("2016-03-15"), I(100 + i), S("R1")});
+  }
+  auto index = AcIndex::Build({"psi0", "call", {"pnum", "date"}, {}, 1}, heap);
+  ASSERT_TRUE(index.ok());
+  auto view = (*index)->LookupWithCounts({I(7), Dt("2016-03-15")});
+  ASSERT_EQ(view.size(), 1u) << "one empty partial tuple per key";
+  EXPECT_EQ(view.arity, 0u);
+  EXPECT_EQ(view.mult(0), 3u);
+  (*index)->OnDelete({I(7), Dt("2016-03-15"), I(100), S("R1")});
+  EXPECT_EQ((*index)->LookupWithCounts({I(7), Dt("2016-03-15")}).mult(0), 2u);
 }
 
 TEST(AcIndexTest, NullKeysNotIndexed) {
@@ -87,13 +114,15 @@ TEST(AcIndexTest, IncrementalInsertDelete) {
   (*index)->OnInsert(r1);
   (*index)->OnInsert(r2);
   (*index)->OnInsert(r3);
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 2u);
+  ValueVec key{I(7), Dt("2016-03-15")};
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 2u);
   (*index)->OnDelete(r1);  // multiplicity 2 -> 1, still present
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 2u);
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 2u);
   (*index)->OnDelete(r2);  // multiplicity 1 -> 0, removed
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")})->size(), 1u);
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 1u);
   (*index)->OnDelete(r3);  // bucket empties and disappears
-  EXPECT_EQ((*index)->Lookup({I(7), Dt("2016-03-15")}), nullptr);
+  EXPECT_EQ((*index)->LookupWithCounts(key).size(), 0u);
+  EXPECT_EQ((*index)->NumKeys(), 0u);
   EXPECT_EQ((*index)->NumEntries(), 0u);
 }
 
@@ -133,15 +162,203 @@ TEST(AcIndexTest, IncrementalEqualsRebuildProperty) {
   // Spot-check every key of the rebuilt index.
   for (int p = 1; p <= 5; ++p) {
     ValueVec key{I(p), Dt("2016-03-15")};
-    const auto* a = (*incremental)->Lookup(key);
-    const auto* b = (*rebuilt)->Lookup(key);
-    ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a != nullptr) {
-      std::vector<Row> av = *a;
-      std::vector<Row> bv = *b;
-      EXPECT_TRUE(RowMultisetsEqual(av, bv));
+    EXPECT_TRUE(RowMultisetsEqual(
+        YRows((*incremental)->LookupWithCounts(key)),
+        YRows((*rebuilt)->LookupWithCounts(key))));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Flat buckets against a naive reference model: random insert/delete
+// sequences with duplicate Y-values, buckets growing past the linear-scan
+// limit into slot tables and draining back (and down to empty), and sorted
+// dictionary rebuilds — at 1 and 4 shards. Every bucket's entries, their
+// order and their multiplicities must match the model exactly.
+// ---------------------------------------------------------------------------
+
+/// Per key: distinct Y tuples in maintenance order with multiplicities.
+/// Appends new tuples; a delete that drops a multiplicity to zero moves the
+/// last tuple into the hole.
+class NaiveIndexModel {
+ public:
+  void Insert(const ValueVec& key, const Row& y) {
+    std::vector<Entry>& bucket = buckets_[key];
+    for (Entry& e : bucket) {
+      if (ValueVecEq{}(e.y, y)) {
+        ++e.mult;
+        return;
+      }
+    }
+    bucket.push_back({Detach(y), 1});
+  }
+
+  void Delete(const ValueVec& key, const Row& y) {
+    auto it = buckets_.find(key);
+    ASSERT_NE(it, buckets_.end());
+    std::vector<Entry>& bucket = it->second;
+    for (size_t i = 0; i < bucket.size(); ++i) {
+      if (!ValueVecEq{}(bucket[i].y, y)) continue;
+      if (--bucket[i].mult == 0) {
+        bucket[i] = bucket.back();
+        bucket.pop_back();
+        if (bucket.empty()) buckets_.erase(it);
+      }
+      return;
+    }
+    FAIL() << "deleting an absent Y " << RowToString(y);
+  }
+
+  void ExpectMatches(const AcIndex& index, const StringDict* dict) const {
+    size_t entries = 0;
+    for (const auto& [key, bucket] : buckets_) {
+      SCOPED_TRACE("key " + RowToString(key));
+      AcIndex::BucketView view = index.LookupWithCounts(key);
+      ASSERT_EQ(view.size(), bucket.size());
+      for (size_t b = 0; b < bucket.size(); ++b) {
+        EXPECT_EQ(view.mult(b), bucket[b].mult) << "entry " << b;
+        for (size_t k = 0; k < view.arity; ++k) {
+          const Value& cell = view.at(b, k);
+          EXPECT_EQ(cell, bucket[b].y[k]) << "entry " << b << " cell " << k;
+          if (cell.type() == TypeId::kString) {
+            EXPECT_EQ(cell.dict(), dict);
+          }
+        }
+      }
+      entries += bucket.size();
+    }
+    EXPECT_EQ(index.NumKeys(), buckets_.size());
+    EXPECT_EQ(index.NumEntries(), entries);
+    size_t visited = 0;
+    index.ForEachBucket(
+        [&](const ValueVec&, const AcIndex::BucketView&) { ++visited; });
+    EXPECT_EQ(visited, buckets_.size());
+  }
+
+ private:
+  struct Entry {
+    Row y;
+    uint64_t mult;
+  };
+  /// A copy whose strings own their bytes, so the model is immune to
+  /// dictionary renumbering.
+  static Row Detach(const Row& row) {
+    Row out;
+    for (const Value& v : row) {
+      out.push_back(v.type() == TypeId::kString
+                        ? Value::String(v.AsString())
+                        : v);
+    }
+    return out;
+  }
+  std::unordered_map<ValueVec, std::vector<Entry>, ValueVecHash, ValueVecEq>
+      buckets_;
+};
+
+TEST(AcIndexDifferentialTest, FlatBucketsMatchNaiveModel) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TableHeap heap(Schema({{"k", TypeId::kInt64},
+                           {"a", TypeId::kInt64},
+                           {"s", TypeId::kString}}));
+    heap.set_num_shards(shards);
+    auto built = AcIndex::Build({"psi", "t", {"k"}, {"a", "s"}, 1000}, heap);
+    ASSERT_TRUE(built.ok());
+    AcIndex& index = **built;
+    ASSERT_EQ(index.num_shards(), shards);
+    NaiveIndexModel model;
+    Rng rng(2024);
+    std::vector<SlotId> live;
+    bool grew_past_linear = false;
+    bool shrank_back = false;
+    size_t rebuilds = 0;
+    for (int step = 0; step < 6000; ++step) {
+      // Phases of 1000 steps: grow, churn, drain (repeated twice).
+      int phase = (step / 1000) % 3;
+      double p_insert = phase == 0 ? 0.85 : (phase == 1 ? 0.5 : 0.08);
+      if (live.empty() || rng.Chance(p_insert)) {
+        // Fresh strings keep arriving out of byte order, so every sorted
+        // rebuild below has codes to renumber.
+        int64_t s = rng.Chance(0.8) ? rng.Uniform(0, 3)
+                                    : rng.Uniform(0, 5 + step / 100);
+        Row row{rng.Chance(0.02) ? N() : I(rng.Uniform(0, 3)),
+                rng.Chance(0.05) ? N() : I(rng.Uniform(0, 12)),
+                S("v" + std::to_string(s))};
+        const Row* stored = nullptr;
+        SlotId slot = heap.InsertUnchecked(row, &stored);
+        index.OnInsert(*stored);
+        if (!row[0].is_null()) model.Insert({row[0]}, {row[1], row[2]});
+        live.push_back(slot);
+      } else {
+        size_t pick = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+        SlotId slot = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        const Row& row = heap.At(slot);
+        index.OnDelete(row);
+        if (!row[0].is_null()) model.Delete({row[0]}, {row[1], row[2]});
+        ASSERT_TRUE(heap.Delete(slot).ok());
+      }
+      if (step % 700 == 699) {
+        std::vector<uint32_t> old_to_new;
+        if (heap.RebuildDictSorted(&old_to_new)) {
+          index.RemapDictCodes(old_to_new);
+          ++rebuilds;
+        }
+      }
+      size_t largest = index.MaxBucketSize();
+      grew_past_linear |= largest > 16;
+      shrank_back |= grew_past_linear && largest > 0 && largest <= 8;
+      if (step % 50 == 0 || step % 700 == 699) {
+        ASSERT_NO_FATAL_FAILURE(model.ExpectMatches(index, heap.dict()));
+      }
+    }
+    model.ExpectMatches(index, heap.dict());
+    EXPECT_TRUE(grew_past_linear);
+    EXPECT_TRUE(shrank_back);
+    EXPECT_GE(rebuilds, 2u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Footprint: one estimate for built indexes and for discovery's candidates,
+// checked against what the index's containers hold.
+// ---------------------------------------------------------------------------
+
+TEST(AcIndexFootprintTest, EstimateTracksHeldBytes) {
+  Database db;
+  std::vector<Row> rows;
+  Rng rng(5);
+  for (int k = 0; k < 400; ++k) {
+    int fan = static_cast<int>(rng.Uniform(1, 40));  // both sides of 16
+    for (int f = 0; f < fan; ++f) {
+      rows.push_back({I(k), I(rng.Uniform(0, 60)),
+                      S("r" + std::to_string(rng.Uniform(0, 9)))});
     }
   }
+  TableInfo* info = MakeTable(&db, "t",
+                              Schema({{"k", TypeId::kInt64},
+                                      {"a", TypeId::kInt64},
+                                      {"s", TypeId::kString}}),
+                              rows);
+  auto index = AcIndex::Build({"psi", "t", {"k"}, {"a", "s"}, 64},
+                              *info->heap());
+  ASSERT_TRUE(index.ok());
+  uint64_t estimate = (*index)->ApproxBytes();
+  uint64_t held = (*index)->HeldBytes();
+  EXPECT_EQ(estimate, AcIndex::EstimateBytes((*index)->NumKeys(),
+                                             (*index)->NumEntries(), 1, 2));
+  // The estimate is what a compact build holds: it leaves out vector
+  // growth slack and the slot tables of large buckets, so it stays below
+  // the held bytes, but not far below.
+  EXPECT_LE(estimate, held);
+  EXPECT_GE(static_cast<double>(estimate), 0.6 * static_cast<double>(held))
+      << "estimate " << estimate << " held " << held;
+
+  // Discovery sizes the same candidate with the same formula.
+  auto profile = ProfileCandidate(*info->heap(), {"t", {"k"}, {"a", "s"}});
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->approx_bytes, estimate);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +416,10 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
         for (size_t b = 0; b < expect.size(); ++b) {
           // Same distinct Y-projections, same first-appearance order,
           // same multiplicities.
-          EXPECT_EQ((*got->rows)[b], (*expect.rows)[b]);
-          EXPECT_EQ((*got->multiplicities)[b], (*expect.multiplicities)[b]);
+          for (size_t k = 0; k < expect.arity; ++k) {
+            EXPECT_EQ(got->at(b, k), expect.at(b, k));
+          }
+          EXPECT_EQ(got->mult(b), expect.mult(b));
         }
       }
     }
@@ -213,7 +432,7 @@ TEST(AcIndexShardingTest, ShardCountsProduceIdenticalBuckets) {
     auto after = sharded->LookupWithCounts({I(7), Dt("2016-03-15")});
     auto after_ref = ref->LookupWithCounts({I(7), Dt("2016-03-15")});
     ASSERT_EQ(after.size(), after_ref.size());
-    EXPECT_EQ((*after.rows).back(), (*after_ref.rows).back());
+    EXPECT_EQ(YRows(after).back(), YRows(after_ref).back());
     sharded->OnDelete(extra);
     ref->OnDelete(extra);
     EXPECT_EQ(sharded->NumEntries(), ref->NumEntries());
@@ -320,13 +539,13 @@ TEST_F(AsCatalogTest, MaintenanceHookKeepsIndexFresh) {
   ASSERT_TRUE(
       db_.Insert("call", {I(9), Dt("2016-03-16"), I(300), S("R3")}).ok());
   AcIndex* index = catalog.IndexFor("psi1");
-  ASSERT_NE(index->Lookup({I(9), Dt("2016-03-16")}), nullptr);
+  ASSERT_EQ(index->LookupWithCounts({I(9), Dt("2016-03-16")}).size(), 1u);
   EXPECT_EQ(maintenance.updates_applied(), 1u);
 
   ASSERT_TRUE(db_.DeleteWhereEquals(
                      "call", {I(9), Dt("2016-03-16"), I(300), S("R3")})
                   .ok());
-  EXPECT_EQ(index->Lookup({I(9), Dt("2016-03-16")}), nullptr);
+  EXPECT_EQ(index->LookupWithCounts({I(9), Dt("2016-03-16")}).size(), 0u);
   EXPECT_EQ(maintenance.updates_applied(), 2u);
 }
 

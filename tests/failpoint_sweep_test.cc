@@ -113,12 +113,13 @@ std::string StateFingerprint(BeasService* svc) {
     if (index == nullptr) continue;
     std::vector<std::string> buckets;
     index->ForEachBucket([&buckets](const ValueVec& key,
-                                    const std::vector<Row>& ys,
-                                    const std::vector<size_t>& mults) {
+                                    const AcIndex::BucketView& bucket) {
       std::ostringstream b;
       b << "  " << RowToString(key) << " :";
-      for (size_t i = 0; i < ys.size(); ++i) {
-        b << " " << RowToString(ys[i]) << "x" << mults[i];
+      for (size_t i = 0; i < bucket.size(); ++i) {
+        const Value* cells = bucket.cells + i * bucket.arity;
+        Row y(cells, cells + bucket.arity);
+        b << " " << RowToString(y) << "x" << bucket.mult(i);
       }
       buckets.push_back(b.str());
     });

@@ -516,6 +516,57 @@ TEST_F(NetTest, ConcurrentClientsMatchReference) {
   EXPECT_GT(service_->tenant_counters("beta").requests_total, 0u);
 }
 
+TEST_F(NetTest, RearmingFailPointsWhileServerThreadsHitThemIsSafe) {
+  // Every response write passes fail::Point("net_write_response"). Re-arm
+  // the fail-point set in a loop while clients keep the server's writer
+  // threads hitting that point: arming swaps in a fresh snapshot, so a
+  // hit never iterates a set being replaced (ThreadSanitizer checks this
+  // in CI). The armed actions here never fire an error, so every answer
+  // must still match.
+  std::map<int, std::vector<std::string>> reference;
+  for (int k = 0; k < kKeys; ++k) {
+    auto r = service_->Execute(KeyQuery(k));
+    ASSERT_TRUE(r.ok());
+    reference[k] = RowStrings(r->result.rows);
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 3; ++c) {
+    threads.emplace_back([&, c] {
+      Client client;
+      if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+        mismatches.fetch_add(1000);
+        return;
+      }
+      for (int i = 0; !done.load() || i < 20; ++i) {
+        int k = (c * 5 + i) % kKeys;
+        QueryRequest request;
+        request.sql = KeyQuery(k);
+        auto wire = client.Query(request);
+        if (!wire.ok() || RowStrings(wire->result.rows) != reference[k]) {
+          mismatches.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  const char* specs[] = {"net_write_response=sleep(0)@*",
+                         "net_write_response=off;exec_step=off", "",
+                         "net_write_response=sleep(0)@p0.5"};
+  for (int round = 0;
+       round < 400 || (answered.load() < 60 && mismatches.load() == 0);
+       ++round) {
+    fail::ArmForTesting(specs[round % 4]);
+  }
+  done.store(true);
+  for (auto& t : threads) t.join();
+  fail::ArmForTesting("");
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(answered.load(), 60);
+}
+
 TEST_F(NetTest, ResultCacheHitsShortCircuitOverTheWire) {
   Client client = ConnectedClient();
   QueryRequest request;

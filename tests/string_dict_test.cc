@@ -327,7 +327,9 @@ TEST(SortedDictTest, CatalogRebuildRemapsAcIndexes) {
   AcIndex::BucketView before = lookup_b();
   ASSERT_EQ(before.size(), 2u);
   std::vector<std::string> before_y;
-  for (const Row& y : *before.rows) before_y.push_back(y[0].AsString());
+  for (size_t i = 0; i < before.size(); ++i) {
+    before_y.emplace_back(before.at(i, 0).AsString());
+  }
 
   auto rebuilt = catalog.RebuildTableDictSorted("edges");
   ASSERT_TRUE(rebuilt.ok());
@@ -339,8 +341,8 @@ TEST(SortedDictTest, CatalogRebuildRemapsAcIndexes) {
   AcIndex::BucketView after = lookup_b();
   ASSERT_EQ(after.size(), 2u);
   for (size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ((*after.rows)[i][0].AsString(), before_y[i]);
-    EXPECT_EQ((*after.multiplicities)[i], (*before.multiplicities)[i]);
+    EXPECT_EQ(after.at(i, 0).AsString(), before_y[i]);
+    EXPECT_EQ(after.mult(i), before.mult(i));
   }
   AcIndex::BucketView inline_probe = index->LookupWithCounts({S("b")});
   EXPECT_EQ(inline_probe.size(), 2u);

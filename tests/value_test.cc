@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "storage/string_dict.h"
 #include "types/data_type.h"
 #include "types/value.h"
 
@@ -192,6 +194,108 @@ TEST(ValueTest, CoerceNullIsNull) {
 TEST(ValueTest, CoerceRejectsLossy) {
   EXPECT_FALSE(Value::Double(2.5).CoerceTo(TypeId::kInt64).ok());
   EXPECT_FALSE(Value::String("7").CoerceTo(TypeId::kInt64).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Representation: a Value is three words; strings are inline (short, or one
+// shared heap block when long) or dictionary-backed, and copies, moves and
+// self-assignment behave identically for every representation.
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(Value) <= 24, "Value must stay three words");
+
+TEST(ValueReprTest, AccessorsPerType) {
+  EXPECT_EQ(Value::Int64(-7).AsInt64(), -7);
+  EXPECT_DOUBLE_EQ(Value::Int64(-7).AsDouble(), -7.0);
+  EXPECT_DOUBLE_EQ(Value::Double(2.5).AsDouble(), 2.5);
+  EXPECT_EQ(Value::Double(2.5).AsInt64(), 0) << "no int payload";
+  EXPECT_EQ(Value::Date(20160315).AsDate(), 20160315);
+  EXPECT_EQ(Value::Date(20160315).AsInt64(), 20160315);
+  EXPECT_EQ(Value::Null().AsInt64(), 0);
+  EXPECT_EQ(Value::String("abc").AsInt64(), 0);
+  EXPECT_EQ(Value::String("abc").AsString(), "abc");
+  EXPECT_EQ(Value::String("").AsString(), "");
+  EXPECT_EQ(Value::Int64(1).AsString(), "");
+  EXPECT_EQ(Value::String("abc").dict(), nullptr);
+  EXPECT_EQ(Value::Int64(1).dict(), nullptr);
+}
+
+TEST(ValueReprTest, ShortAndLongInlineStringsAreByteExact) {
+  std::string exact(Value::kShortStringCapacity, 'x');
+  std::string over(Value::kShortStringCapacity + 1, 'y');
+  std::string with_nul("a\0b", 3);
+  for (const std::string& s : {std::string(), exact, over, with_nul,
+                               std::string(1000, 'z')}) {
+    Value v = Value::String(s);
+    EXPECT_EQ(v.type(), TypeId::kString);
+    EXPECT_EQ(v.AsString(), s);
+    EXPECT_EQ(v.Hash(), HashString(s));
+    EXPECT_EQ(v.ToString(), "'" + s + "'");
+  }
+}
+
+TEST(ValueReprTest, CopyMoveAndSelfAssignEveryRepresentation) {
+  StringDict dict;
+  uint32_t code = dict.Intern("dictionary string");
+  std::vector<Value> samples = {
+      Value::Null(),
+      Value::Int64(42),
+      Value::Double(-0.25),
+      Value::Date(20160101),
+      Value::String("short"),
+      Value::String("a long inline string that needs a heap block"),
+      Value::DictString(&dict, code)};
+  for (const Value& original : samples) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.type(), original.type());
+    EXPECT_EQ(copy.Hash(), original.Hash());
+    EXPECT_EQ(copy.dict(), original.dict());
+
+    Value assigned = Value::Int64(0);
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    const Value& alias = assigned;
+    assigned = alias;  // self copy-assignment keeps the payload alive
+    EXPECT_EQ(assigned, original);
+    EXPECT_EQ(assigned.ToString(), original.ToString());
+
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved, original);
+    Value move_assigned = Value::String("to be replaced by a long string...");
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned, original);
+    Value& self = move_assigned;
+    move_assigned = std::move(self);  // self move-assignment is a no-op
+    EXPECT_EQ(move_assigned, original);
+
+    // Copies of a shared long block outlive the value they came from.
+    Value survivor;
+    {
+      Value temp(original);
+      survivor = temp;
+    }
+    EXPECT_EQ(survivor.ToString(), original.ToString());
+  }
+}
+
+TEST(ValueReprTest, InlineAndDictionaryStringsAreInterchangeable) {
+  StringDict dict;
+  for (const std::string& s :
+       {std::string("R1"), std::string("a string longer than sixteen")}) {
+    Value inline_v = Value::String(s);
+    Value dict_v = Value::DictString(&dict, dict.Intern(s));
+    EXPECT_EQ(inline_v, dict_v);
+    EXPECT_EQ(dict_v, inline_v);
+    EXPECT_EQ(inline_v.Hash(), dict_v.Hash());
+    EXPECT_EQ(inline_v.Compare(dict_v), 0);
+    EXPECT_EQ(dict_v.AsString(), s);
+    EXPECT_EQ(dict_v.dict(), &dict);
+  }
+  EXPECT_LT(Value::String("abc").Compare(Value::String("abd")), 0);
+  EXPECT_GT(Value::String("abcdefghijklmnopq").Compare(Value::String("abc")),
+            0);
 }
 
 TEST(ValueVecTest, HashAndEqFunctors) {

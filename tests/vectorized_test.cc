@@ -517,11 +517,12 @@ TEST(AcIndexBatchTest, LookupBatchMatchesScalarLookups) {
   (*index)->LookupBatch(keys.data(), keys.size(), out.data());
   for (size_t i = 0; i < keys.size(); ++i) {
     AcIndex::BucketView expected = (*index)->LookupWithCounts(keys[i]);
-    EXPECT_EQ(out[i].rows, expected.rows) << i;
-    EXPECT_EQ(out[i].multiplicities, expected.multiplicities) << i;
+    EXPECT_EQ(out[i].cells, expected.cells) << i;
+    EXPECT_EQ(out[i].mults, expected.mults) << i;
+    EXPECT_EQ(out[i].size(), expected.size()) << i;
   }
   EXPECT_EQ(out[0].size(), 2u);   // distinct v's of k=1
-  EXPECT_EQ((*out[0].multiplicities)[0], 2u);  // v=10 appears twice
+  EXPECT_EQ(out[0].mult(0), 2u);  // v=10 appears twice
   EXPECT_EQ(out[2].size(), 0u);   // missing key
   EXPECT_EQ(out[3].size(), 0u);   // NULL key never matches
 }
@@ -549,7 +550,7 @@ TEST(AcIndexBatchTest, LookupBatchDoesZeroStringHashingOnDictKeys) {
   // Dictionary-backed probe keys, straight from the stored rows.
   std::vector<ValueVec> keys;
   for (auto it = info->heap()->Begin(); it.Valid(); it.Next()) {
-    keys.push_back((*index)->KeyOf(it.row()));
+    keys.push_back({it.row()[0]});  // the X-projection: column k
   }
   std::vector<AcIndex::BucketView> out(keys.size());
 
