@@ -85,13 +85,13 @@
 #include <cstdio>
 #include <thread>
 
-#include "common/file_util.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "service/beas_service.h"
 
 #include "bench_util.h"
 #include "bounded/bounded_executor.h"
+#include "common/env.h"
 #include "common/shard_config.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
@@ -506,7 +506,7 @@ double InsertStorm(BeasService* service, size_t rows, size_t writers,
 
 /// Read-after-write check: the table must hold exactly `rows` rows.
 bool CountMatches(BeasService* service, size_t rows) {
-  auto res = service->Execute("SELECT count(*) FROM wp");
+  auto res = service->Query({"SELECT count(*) FROM wp"});
   return res.ok() && res->result.rows.size() == 1 &&
          res->result.rows[0][0].AsInt64() == static_cast<int64_t>(rows);
 }
@@ -564,7 +564,7 @@ WritePathResult RunWritePathSection(double sf) {
                        std::max<double>(1.0, static_cast<double>(
                                                  r.group_commits));
   }
-  RemoveAll(dir);
+  Env::Default()->RemoveAll(dir);
   r.durable_relative =
       r.durable_rows_per_sec / std::max(r.inmem_rows_per_sec, 1e-6);
   return r;
@@ -662,7 +662,7 @@ OverloadResult RunOverloadSection() {
       for (size_t i = 0; i < per_client; ++i) {
         std::string sql = storm_query(c * per_client + i);
         auto op0 = std::chrono::steady_clock::now();
-        auto res = svc.Submit(sql).get();
+        auto res = svc.Submit({sql}).get();
         lat[c].push_back(MillisSince(op0));
         if (res.ok()) {
           accepted.fetch_add(1);
@@ -792,7 +792,7 @@ NetBenchResult RunNetSection() {
     return out;
   };
   for (int k = 0; k < kKeys; ++k) {
-    auto ref = svc.Execute(key_query(k));
+    auto ref = svc.Query({key_query(k)});
     if (!ref.ok()) {
       r.ok = false;
       return r;
@@ -979,7 +979,7 @@ HotKeyResult RunHotKeySection() {
   std::vector<std::string> reference(kHotKeys);
   svc.set_result_cache_enabled(false);
   for (int k = 0; k < kHotKeys; ++k) {
-    auto ref = svc.Execute(key_query(k));
+    auto ref = svc.Query({key_query(k)});
     if (!ref.ok() || ref->result.rows.size() != 1) {
       r.ok = false;
       return r;

@@ -92,7 +92,7 @@ RunResult RunWorkload(BeasService* service,
   RunResult out;
   auto start = std::chrono::steady_clock::now();
   for (const std::string& sql : queries) {
-    auto resp = service->Execute(sql);
+    auto resp = service->Query({sql});
     if (!resp.ok()) {
       ++out.errors;
       continue;
@@ -170,9 +170,11 @@ int main() {
 
   // --- Showcase: the same workload through the worker pool. ---
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<Result<ServiceResponse>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   futures.reserve(queries.size());
-  for (const std::string& sql : queries) futures.push_back(service.Submit(sql));
+  for (const std::string& sql : queries) {
+    futures.push_back(service.Submit({sql}));
+  }
   size_t errors = 0;
   for (auto& f : futures) {
     auto resp = f.get();

@@ -25,7 +25,7 @@ using namespace beas;  // examples favor brevity
 
 namespace {
 
-void Show(const char* tag, const Result<ServiceResponse>& resp) {
+void Show(const char* tag, const Result<QueryResponse>& resp) {
   if (!resp.ok()) {
     std::printf("%-28s ERROR %s\n", tag, resp.status().ToString().c_str());
     return;
@@ -65,7 +65,7 @@ int main() {
         "SELECT DISTINCT call.recnum FROM call WHERE call.pnum = %" PRId64
         " AND call.date = '2016-03-15'",
         pnum);
-    Show(("pnum=" + std::to_string(pnum)).c_str(), service.Execute(sql));
+    Show(("pnum=" + std::to_string(pnum)).c_str(), service.Query({sql}));
   }
 
   // --- 4a. Plain inserts do NOT invalidate (indices maintained). ---
@@ -77,8 +77,8 @@ int main() {
                Value::Int64(17), Value::Int64(12345678)});
   if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
   Show("pnum=10001 after insert",
-       service.Execute("SELECT DISTINCT call.recnum FROM call WHERE "
-                       "call.pnum = 10001 AND call.date = '2016-03-15'"));
+       service.Query({"SELECT DISTINCT call.recnum FROM call WHERE "
+                        "call.pnum = 10001 AND call.date = '2016-03-15'"}));
 
   // --- 4b. Maintenance bound adjustment DOES invalidate. ---
   std::printf("\n-- maintenance adjustment: affected templates evicted --\n");
@@ -87,18 +87,18 @@ int main() {
   if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
   std::printf("adjusted %zu declared bounds\n", changed);
   Show("pnum=10001 after adjust",
-       service.Execute("SELECT DISTINCT call.recnum FROM call WHERE "
-                       "call.pnum = 10001 AND call.date = '2016-03-15'"));
+       service.Query({"SELECT DISTINCT call.recnum FROM call WHERE "
+                        "call.pnum = 10001 AND call.date = '2016-03-15'"}));
 
   // --- 5. A concurrent batch through the worker pool. ---
   std::printf("\n-- worker pool --\n");
-  std::vector<std::future<Result<ServiceResponse>>> futures;
+  std::vector<std::future<Result<QueryResponse>>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(service.Submit(StringPrintf(
+    futures.push_back(service.Submit({StringPrintf(
         "SELECT call.region, count(*) AS calls FROM call "
         "WHERE call.pnum = %d AND call.date = '2016-03-15' "
         "GROUP BY call.region ORDER BY calls DESC LIMIT 3",
-        10001 + i % 8)));
+        10001 + i % 8)}));
   }
   size_t ok = 0;
   for (auto& f : futures) {

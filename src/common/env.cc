@@ -1,13 +1,15 @@
 #include "common/env.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/types.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-
-#include "common/file_util.h"
 
 namespace beas {
 
@@ -17,60 +19,152 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-/// Env::Default(): delegates to the file_util primitives, so the posix
-/// behavior of the durability protocol is byte-identical to the
-/// pre-seam code paths.
+/// Append-only file over a raw fd: write(2) puts the bytes in the kernel
+/// page cache (surviving a process kill) the moment Append returns, and
+/// Sync() is fsync(2), the group-commit boundary. No userspace buffering
+/// — a crash can tear at most the last write.
 class PosixWritableFile : public WritableFile {
  public:
-  Status Append(const void* data, size_t len) override {
-    return file_.Append(data, len);
-  }
-  Status Sync() override { return file_.Sync(); }
-  Status Truncate(uint64_t size) override { return file_.Truncate(size); }
-  uint64_t size() const override { return file_.size(); }
+  PosixWritableFile(int fd, uint64_t offset, std::string path)
+      : fd_(fd), offset_(offset), path_(std::move(path)) {}
+  ~PosixWritableFile() override { ::close(fd_); }
 
-  AppendFile file_;
+  PosixWritableFile(const PosixWritableFile&) = delete;
+  PosixWritableFile& operator=(const PosixWritableFile&) = delete;
+
+  Status Append(const void* data, size_t len) override {
+    const char* p = static_cast<const char*>(data);
+    size_t remaining = len;
+    while (remaining > 0) {
+      ssize_t n = ::write(fd_, p, remaining);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Errno("write", path_);
+      }
+      p += n;
+      remaining -= static_cast<size_t>(n);
+    }
+    offset_ += len;
+    return Status::OK();
+  }
+
+  Status Sync() override {
+    if (::fsync(fd_) != 0) return Errno("fsync", path_);
+    return Status::OK();
+  }
+
+  Status Truncate(uint64_t size) override {
+    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+      return Errno("ftruncate", path_);
+    }
+    if (::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0) {
+      return Errno("lseek", path_);
+    }
+    offset_ = size;
+    return Status::OK();
+  }
+
+  uint64_t size() const override { return offset_; }
+
+ private:
+  int fd_;
+  uint64_t offset_;
+  std::string path_;
 };
 
+/// Read-only mmap of a whole file: segments are validated and parsed in
+/// place — no read loop, no intermediate copy, and a file larger than RAM
+/// pages in lazily. An empty file holds no mapping.
 class PosixRandomAccessFile : public RandomAccessFile {
  public:
-  const char* data() const override { return file_.data(); }
-  size_t size() const override { return file_.size(); }
+  PosixRandomAccessFile(char* data, size_t size) : data_(data), size_(size) {}
+  ~PosixRandomAccessFile() override {
+    if (data_ != nullptr) ::munmap(data_, size_);
+  }
 
-  MmapFile file_;
+  PosixRandomAccessFile(const PosixRandomAccessFile&) = delete;
+  PosixRandomAccessFile& operator=(const PosixRandomAccessFile&) = delete;
+
+  const char* data() const override { return data_; }
+  size_t size() const override { return size_; }
+
+ private:
+  char* data_;
+  size_t size_;
 };
 
 class PosixEnv : public Env {
  public:
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
-    auto file = std::make_unique<PosixWritableFile>();
-    BEAS_RETURN_NOT_OK(file->file_.Open(path));
-    return std::unique_ptr<WritableFile>(std::move(file));
+    int fd = ::open(path.c_str(), O_CREAT | O_RDWR, 0644);
+    if (fd < 0) return Errno("open", path);
+    off_t end = ::lseek(fd, 0, SEEK_END);
+    if (end < 0) {
+      Status s = Errno("lseek", path);
+      ::close(fd);
+      return s;
+    }
+    return std::unique_ptr<WritableFile>(
+        new PosixWritableFile(fd, static_cast<uint64_t>(end), path));
   }
 
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
-    auto file = std::make_unique<PosixRandomAccessFile>();
-    BEAS_RETURN_NOT_OK(file->file_.Open(path));
-    return std::unique_ptr<RandomAccessFile>(std::move(file));
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) return Errno("open", path);
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      Status s = Errno("fstat", path);
+      ::close(fd);
+      return s;
+    }
+    size_t size = static_cast<size_t>(st.st_size);
+    char* data = nullptr;
+    if (size > 0) {
+      void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (p == MAP_FAILED) {
+        Status s = Errno("mmap", path);
+        ::close(fd);
+        return s;
+      }
+      data = static_cast<char*>(p);
+    }
+    // The mapping keeps the pages alive; the fd is not needed afterwards.
+    ::close(fd);
+    return std::unique_ptr<RandomAccessFile>(
+        new PosixRandomAccessFile(data, size));
   }
 
   bool FileExists(const std::string& path) override {
-    return PathExists(path);
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
   }
 
   bool IsDirectory(const std::string& path) override {
+    // lstat: a symbolic link is never a directory, even when it points at
+    // one — RemoveAll unlinks the link and never descends through it.
     struct stat st;
-    return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
+    return ::lstat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
   }
 
   Result<std::vector<std::string>> ListDir(const std::string& path) override {
-    return ::beas::ListDir(path);
+    DIR* dir = ::opendir(path.c_str());
+    if (dir == nullptr) return Errno("opendir", path);
+    std::vector<std::string> names;
+    while (struct dirent* entry = ::readdir(dir)) {
+      std::string name = entry->d_name;
+      if (name != "." && name != "..") names.push_back(std::move(name));
+    }
+    ::closedir(dir);
+    return names;
   }
 
   Status CreateDir(const std::string& path) override {
-    return EnsureDir(path);
+    if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
+      return Status::OK();
+    }
+    return Errno("mkdir", path);
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {
@@ -91,7 +185,12 @@ class PosixEnv : public Env {
   }
 
   Status SyncDir(const std::string& path) override {
-    return ::beas::SyncDir(path);
+    int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) return Errno("open dir", path);
+    Status s = Status::OK();
+    if (::fsync(fd) != 0) s = Errno("fsync dir", path);
+    ::close(fd);
+    return s;
   }
 };
 
@@ -130,7 +229,8 @@ void Env::RemoveAll(const std::string& path) {
       for (const std::string& name : *names) RemoveAll(path + "/" + name);
     }
     (void)RemoveDir(path);
-  } else if (FileExists(path)) {
+  } else {
+    // A file, a symbolic link (dangling or not), or nothing at all.
     (void)RemoveFile(path);
   }
 }

@@ -13,9 +13,9 @@ namespace beas {
 
 /// \brief An append-only file handle (the WAL/segment write surface).
 ///
-/// Same contract as file_util's AppendFile: Append puts bytes where a
-/// process kill cannot lose them (kernel page cache for the posix
-/// implementation), Sync marks the machine-crash durability boundary, and
+/// Append puts bytes where a process kill cannot lose them (kernel page
+/// cache for the posix implementation: raw write(2), no userspace
+/// buffering), Sync marks the machine-crash durability boundary, and
 /// Truncate repositions the append offset (WAL reset / torn-tail repair).
 class WritableFile {
  public:
@@ -72,6 +72,8 @@ class Env {
   /// True if `path` exists (any file type).
   virtual bool FileExists(const std::string& path) = 0;
 
+  /// True if `path` itself is a directory. A symbolic link is not one,
+  /// even when it points at a directory (posix: lstat).
   virtual bool IsDirectory(const std::string& path) = 0;
 
   /// Names of entries in `path` (not "."/".."), unsorted.
@@ -112,7 +114,8 @@ class Env {
   /// content, never a torn mix.
   Status WriteFileAtomic(const std::string& path, const std::string& data);
 
-  /// Best-effort recursive removal of `path`.
+  /// Best-effort recursive removal of `path`. Never descends through a
+  /// symbolic link: the link itself is removed, its target left alone.
   void RemoveAll(const std::string& path);
   /// @}
 };

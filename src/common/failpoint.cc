@@ -216,7 +216,7 @@ Status Point(const char* site) {
       case Action::kError:
         return Status::IoError(std::string("injected failure at ") + site);
       case Action::kErrorNoSpace:
-        // The strerror(ENOSPC) shape file_util errors carry, so
+        // The strerror(ENOSPC) shape posix Env errors carry, so
         // disk-full handling (IsNoSpace) triggers on injected faults too.
         return Status::IoError(std::string("injected failure at ") + site +
                                ": No space left on device");

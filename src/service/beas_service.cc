@@ -67,20 +67,6 @@ void DetachResultStrings(QueryResult* result) {
   }
 }
 
-/// Lowercased, deduplicated names of the tables a bound query reads —
-/// the result cache's epoch-validation set (catalog lookup is
-/// case-insensitive, so lowercase resolves).
-std::vector<std::string> TablesReadBy(const BoundQuery& query) {
-  std::vector<std::string> tables;
-  for (const BoundAtom& atom : query.atoms) {
-    std::string name = ToLower(atom.table->name());
-    if (std::find(tables.begin(), tables.end(), name) == tables.end()) {
-      tables.push_back(std::move(name));
-    }
-  }
-  return tables;
-}
-
 void AppendU64Key(std::string* key, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     key->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -273,10 +259,9 @@ std::vector<MaintenanceManager::Adjustment> BeasService::RevalidateAndSuggest(
 }
 
 // ---------------------------------------------------------------------------
-// Read side: Query() is the single entry point. Every named method below
-// builds a QueryRequest and funnels through it, so admission, tenant
-// accounting, and telemetry behave identically no matter which transport
-// or shim a request arrived through.
+// Read side: Query() is the single entry point and one body serves every
+// mode, so admission, tenant accounting, and telemetry behave identically
+// no matter which transport or mode a request arrived through.
 // ---------------------------------------------------------------------------
 
 const char* QueryModeName(QueryMode mode) {
@@ -307,32 +292,16 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
   if (tenant != nullptr) {
     tenant->requests.fetch_add(1, std::memory_order_relaxed);
   }
-  switch (request.mode) {
-    case QueryMode::kAuto:
-      return QueryAuto(request, tenant);
-    case QueryMode::kBoundedOnly:
-      return QueryBoundedOnly(request, tenant);
-    case QueryMode::kApproximate:
-      return QueryApproximate(request, tenant);
-    case QueryMode::kCheckOnly:
-      return QueryCheckOnly(request);
+  const QueryMode mode = request.mode;
+  if (mode > QueryMode::kCheckOnly) {
+    // Unknown byte off the wire: typed client error, never a crash.
+    return Status::InvalidArgument(
+        "unknown query mode " + std::to_string(static_cast<unsigned>(mode)));
   }
-  // Unknown byte off the wire: typed client error, never a crash.
-  return Status::InvalidArgument(
-      "unknown query mode " +
-      std::to_string(static_cast<unsigned>(request.mode)));
-}
-
-Result<ServiceResponse> BeasService::Execute(const std::string& sql,
-                                             const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.options = qopts;
-  return Query(request);
-}
-
-Result<QueryResponse> BeasService::QueryAuto(const QueryRequest& request,
-                                             TenantState* tenant) {
+  if (mode == QueryMode::kApproximate && request.approx_budget == 0) {
+    return Status::InvalidArgument(
+        "approximate mode requires a positive approx_budget");
+  }
   if (MentionsStatsTable(request.sql)) {
     // Materialize fresh serving-health counters before answering; the
     // refresh takes the exclusive lock, the query itself runs shared.
@@ -343,29 +312,88 @@ Result<QueryResponse> BeasService::QueryAuto(const QueryRequest& request,
   }
   TemplateInfo tinfo = PrepareTemplate(request.sql);
   Database::ReadScope lock(&db_);
-  // Result-cache hit: serve the materialized answer before binding,
-  // coverage checking, or any admission reservation — a hit consumes no
-  // cost grant and cannot be rejected by an exhausted pool.
+
+  // Result-cache hit (execution modes): serve the materialized answer
+  // before binding, coverage checking, or any admission reservation — a
+  // hit consumes no cost grant and cannot be rejected by an exhausted
+  // pool. The mode byte in the key keeps kAuto and kBoundedOnly answers
+  // of one template apart.
+  const bool executes =
+      mode == QueryMode::kAuto || mode == QueryMode::kBoundedOnly;
   std::string rkey;
   uint64_t rhash = 0;
-  if (tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
-    rkey = ResultKeyFor(tinfo, QueryMode::kAuto, request.options);
+  if (executes && tinfo.have &&
+      result_cache_enabled_.load(std::memory_order_relaxed)) {
+    rkey = ResultKeyFor(tinfo, mode, request.options);
     rhash = HashString(rkey);
     QueryResponse hit;
     if (LookupResult(rhash, rkey, &hit)) return hit;
   }
-  std::vector<std::string> tables;
-  Result<QueryResponse> resp = ExecuteLocked(request, tinfo, tenant, &tables);
-  if (resp.ok()) {
-    resp->covered =
-        resp->decision.mode == BeasSession::ExecutionDecision::Mode::kBounded;
-    // Still under the shared lock: no rebuild can race the detach.
-    DetachResultStrings(&resp->result);
-    if (!rkey.empty()) {
-      // Same ReadScope the answer was computed under: the epochs captured
-      // here are exactly the epochs the answer was evaluated at.
-      MaybeStoreResult(rhash, rkey, *resp, request.options, tables);
+
+  ResolvedPlan plan;
+  BEAS_RETURN_NOT_OK(ResolvePlan(tinfo, &plan));
+  const CoverageResult& coverage = plan.coverage;
+  const uint64_t bound =
+      coverage.covered ? coverage.plan.total_access_bound : 0;
+  QueryResponse resp;
+  resp.cache_hit = plan.hit;
+  resp.cacheable = plan.entry != nullptr;
+  resp.template_hash = plan.tmpl.hash;
+  resp.covered = coverage.covered;
+  resp.decision.deduced_bound = bound;
+
+  if (mode == QueryMode::kCheckOnly) {
+    resp.unsatisfiable = coverage.unsatisfiable;
+    resp.reason = coverage.reason;
+    return resp;
+  }
+  if (mode == QueryMode::kApproximate) {
+    // Self-bounded by its budget: no admission, no result cache.
+    if (!coverage.covered) {
+      return Status::NotCovered("approximation requires a covered query: " +
+                                coverage.reason);
     }
+    BEAS_ASSIGN_OR_RETURN(ApproxResult approx,
+                          session_.ExecuteApproximate(plan.query, coverage.plan,
+                                                      request.approx_budget));
+    resp.result = std::move(approx.result);
+    resp.eta = approx.eta;
+    resp.approx_exact = approx.exact;
+    resp.approx_budget = approx.budget;
+    resp.tuples_fetched = approx.tuples_fetched;
+    resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
+    resp.decision.explanation =
+        "budgeted approximation (budget " + WithCommas(approx.budget) + ")";
+    DetachResultStrings(&resp.result);
+    return resp;
+  }
+  if (coverage.covered) {
+    // A template's first run keeps full telemetry; hits run lean. Either
+    // way the compiled step programs and the probe pool are used.
+    BoundedExecOptions exec_options;
+    exec_options.collect_stats = !plan.hit;
+    exec_options.probe_pool = &pool_;
+    if (plan.entry != nullptr) {
+      exec_options.compiled = plan.entry->compiled.get();
+    }
+    BEAS_RETURN_NOT_OK(RunCoveredAdmitted(plan.query, coverage.plan,
+                                          exec_options, request.options,
+                                          tenant, &resp));
+    resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
+    resp.decision.explanation = plan.hit
+                                    ? plan.entry->covered_explanation
+                                    : BoundedExplanation(bound, false);
+  } else if (mode == QueryMode::kBoundedOnly) {
+    return Status::NotCovered(coverage.reason);
+  } else {
+    BEAS_RETURN_NOT_OK(RunPartial(plan, &resp));
+  }
+  // Still under the shared lock: no rebuild can race the detach.
+  DetachResultStrings(&resp.result);
+  if (!rkey.empty()) {
+    // Same ReadScope the answer was computed under: the epochs captured
+    // here are exactly the epochs the answer was evaluated at.
+    MaybeStoreResult(rhash, rkey, resp, request.options, plan.tables());
   }
   return resp;
 }
@@ -899,126 +927,6 @@ Status BeasService::RefreshStatsTable() {
   return Status::OK();
 }
 
-Result<ServiceResponse> BeasService::ExecuteUncachedQuery(
-    const BoundQuery& query) {
-  ServiceResponse resp;
-  resp.cacheable = false;
-  BEAS_ASSIGN_OR_RETURN(
-      resp.result,
-      session_.Execute(query, &resp.decision, options_.fallback_profile));
-  return resp;
-}
-
-Result<QueryResponse> BeasService::ExecuteLocked(
-    const QueryRequest& request, const TemplateInfo& tinfo,
-    TenantState* tenant, std::vector<std::string>* tables_out) {
-  // The canonical rendering when normalization changed the text (every
-  // equivalent spelling then executes the identical query), the client's
-  // original otherwise.
-  const std::string& sql = tinfo.sql;
-  const QueryOptions& qopts = request.options;
-  if (!cache_enabled_.load(std::memory_order_relaxed) || !tinfo.have) {
-    // Plan cache off, or malformed literal syntax (masking failed): let
-    // the real front end handle it.
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    if (tables_out != nullptr) *tables_out = TablesReadBy(query);
-    return ExecuteUncachedQuery(query);
-  }
-  const SqlTemplate& masked = tinfo.masked;
-
-  QueryTemplate key;
-  key.canonical = masked.text;
-  key.hash = HashString(key.canonical);
-
-  // --- Fast path: instantiate the cached template (the variant matching
-  // this instance's frozen parameters), skipping parse+bind and the
-  // coverage / partial-plan search. ---
-  std::shared_ptr<const PlanCache::Entry> entry =
-      cache_.Lookup(key, masked.params);
-  BoundQuery query;
-  bool have_query = false;
-  if (entry != nullptr && entry->prepared != nullptr) {
-    Result<BoundQuery> inst =
-        InstantiatePrepared(*entry->prepared, masked.params);
-    if (inst.ok()) {
-      query = std::move(*inst);
-      have_query = true;
-      if (tables_out != nullptr) *tables_out = TablesReadBy(query);
-      if (entry->covered) {
-        Result<BoundedPlan> plan = RebindPlanConstants(entry->plan, query);
-        if (plan.ok()) {
-          ServiceResponse resp;
-          resp.cache_hit = true;
-          resp.template_hash = key.hash;
-          BEAS_RETURN_NOT_OK(RunCoveredAdmitted(
-              query, *plan, FastPathOptions(*entry), qopts, tenant, &resp));
-          resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-          resp.decision.deduced_bound = plan->total_access_bound;
-          resp.decision.explanation = entry->covered_explanation;
-          return resp;
-        }
-      } else if (entry->partial_computed) {
-        // Copy only the cheap choice fields; the plan skeleton is copied
-        // once, inside RebindPlanConstants.
-        PartialPlanChoice choice;
-        choice.found = entry->partial.found;
-        choice.atom_enabled = entry->partial.atom_enabled;
-        choice.conjunct_enabled = entry->partial.conjunct_enabled;
-        bool rebound = true;
-        if (choice.found) {
-          Result<BoundedPlan> plan = RebindPlanConstants(
-              entry->partial.plan, query, choice.conjunct_enabled);
-          if (plan.ok()) {
-            choice.plan = std::move(*plan);
-          } else {
-            rebound = false;
-          }
-        }
-        if (rebound) {
-          BoundedExecOptions exec_options;
-          exec_options.collect_stats = false;
-          exec_options.probe_pool = &pool_;
-          BEAS_ASSIGN_OR_RETURN(
-              PartialPlanResult partial,
-              session_.ExecutePartialChoice(
-                  query, choice, options_.fallback_profile, exec_options));
-          ServiceResponse resp;
-          resp.cache_hit = true;
-          resp.template_hash = key.hash;
-          resp.result = std::move(partial.result);
-          resp.decision.mode =
-              partial.any_bounded
-                  ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
-                  : BeasSession::ExecutionDecision::Mode::kConventional;
-          resp.decision.deduced_bound = partial.fragment_access_bound;
-          resp.decision.explanation = entry->reason + "; " +
-                                      partial.description +
-                                      " (cached template plan)";
-          return resp;
-        }
-      }
-      // Covered rebind mismatch, or a not-covered entry whose fallback was
-      // never computed (strict-bounded / Check populated it): re-plan below
-      // reusing the instantiated query.
-    }
-  }
-
-  if (!have_query) {
-    BEAS_ASSIGN_OR_RETURN(query, db_.Bind(sql));
-    if (tables_out != nullptr) *tables_out = TablesReadBy(query);
-  }
-  return ExecuteMiss(sql, masked, std::move(query), qopts, tenant);
-}
-
-BoundedExecOptions BeasService::FastPathOptions(
-    const PlanCache::Entry& entry) const {
-  BoundedExecOptions options;
-  options.collect_stats = false;
-  options.compiled = entry.compiled.get();
-  options.probe_pool = &pool_;
-  return options;
-}
-
 std::shared_ptr<PlanCache::Entry> BeasService::MakeEntry(
     const std::string& sql, const SqlTemplate& masked,
     const QueryTemplate& tmpl, const BoundQuery& query,
@@ -1052,254 +960,117 @@ std::shared_ptr<PlanCache::Entry> BeasService::MakeEntry(
   return entry;
 }
 
-Result<ServiceResponse> BeasService::ExecuteMiss(const std::string& sql,
-                                                 const SqlTemplate& masked,
-                                                 BoundQuery query,
-                                                 const QueryOptions& qopts,
-                                                 TenantState* tenant) {
-  QueryTemplate tmpl = BuildQueryTemplate(masked, query);
-  if (!tmpl.cacheable) {
-    cache_.NoteUncacheable();
-    ServiceResponse resp;
-    BEAS_ASSIGN_OR_RETURN(resp, ExecuteUncachedQuery(query));
-    resp.template_hash = tmpl.hash;
-    return resp;
-  }
-
-  ServiceResponse resp;
-  resp.template_hash = tmpl.hash;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, session_.Check(query));
-  std::shared_ptr<PlanCache::Entry> entry =
-      MakeEntry(sql, masked, tmpl, query, coverage);
-
-  if (coverage.covered) {
-    // First execution of the template: full telemetry, but already with
-    // the freshly compiled step programs and the probe pool.
-    BoundedExecOptions exec_options;
-    exec_options.compiled = entry->compiled.get();
-    exec_options.probe_pool = &pool_;
-    BEAS_RETURN_NOT_OK(RunCoveredAdmitted(query, coverage.plan, exec_options,
-                                          qopts, tenant, &resp));
-    resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-    resp.decision.deduced_bound = coverage.plan.total_access_bound;
-    resp.decision.explanation =
-        BoundedExplanation(coverage.plan.total_access_bound, false);
-  } else {
-    BEAS_ASSIGN_OR_RETURN(PartialPlanChoice choice,
-                          session_.ChoosePartialPlan(query));
-    entry->partial_computed = true;
-    entry->partial = choice;
-    BEAS_ASSIGN_OR_RETURN(
-        PartialPlanResult partial,
-        session_.ExecutePartialChoice(query, choice,
-                                      options_.fallback_profile));
-    resp.result = std::move(partial.result);
-    resp.decision.mode =
-        partial.any_bounded
-            ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
-            : BeasSession::ExecutionDecision::Mode::kConventional;
-    resp.decision.deduced_bound = partial.fragment_access_bound;
-    resp.decision.explanation = coverage.reason + "; " + partial.description;
-  }
-  if (entry->prepared != nullptr) {
-    QueryTemplate key;
-    key.canonical = masked.text;
-    key.hash = tmpl.hash;
-    cache_.Insert(key, std::move(entry));
-  } else {
-    // Masker/lexer divergence: the template can never be served from the
-    // cache, so the response must not claim eligibility.
-    cache_.NoteUncacheable();
-    resp.cacheable = false;
-  }
-  return resp;
-}
-
-Result<QueryResponse> BeasService::QueryBoundedOnly(
-    const QueryRequest& request, TenantState* tenant) {
-  TemplateInfo tinfo = PrepareTemplate(request.sql);
-  Database::ReadScope lock(&db_);
-  // Result-cache hit: short-circuit before the coverage check and before
-  // any admission reservation. The mode byte in the key keeps bounded
-  // answers separate from kAuto answers of the same template.
-  std::string rkey;
-  uint64_t rhash = 0;
-  if (tinfo.have && result_cache_enabled_.load(std::memory_order_relaxed)) {
-    rkey = ResultKeyFor(tinfo, QueryMode::kBoundedOnly, request.options);
-    rhash = HashString(rkey);
-    QueryResponse hit;
-    if (LookupResult(rhash, rkey, &hit)) return hit;
-  }
-  bool cache_hit = false;
-  BoundQuery query;
-  std::shared_ptr<const PlanCache::Entry> entry;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage,
-                        CheckLocked(tinfo.sql, &cache_hit, &query, &entry));
-  if (!coverage.covered) return Status::NotCovered(coverage.reason);
-  // CheckLocked's plan is already rebound to this instance's constants.
-  QueryResponse resp;
-  resp.cache_hit = cache_hit;
-  resp.covered = true;
-  BoundedExecOptions exec_options;
-  exec_options.probe_pool = &pool_;
-  if (entry != nullptr) exec_options.compiled = entry->compiled.get();
-  BEAS_RETURN_NOT_OK(RunCoveredAdmitted(query, coverage.plan, exec_options,
-                                        request.options, tenant, &resp));
-  resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-  resp.decision.deduced_bound = coverage.plan.total_access_bound;
-  resp.decision.explanation =
-      BoundedExplanation(coverage.plan.total_access_bound, cache_hit);
-  DetachResultStrings(&resp.result);
-  if (!rkey.empty()) {
-    MaybeStoreResult(rhash, rkey, resp, request.options, TablesReadBy(query));
-  }
-  return resp;
-}
-
-Result<ServiceResponse> BeasService::ExecuteBounded(const std::string& sql,
-                                                    const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kBoundedOnly;
-  request.options = qopts;
-  return Query(request);
-}
-
-Result<QueryResponse> BeasService::QueryApproximate(const QueryRequest& request,
-                                                    TenantState* tenant) {
-  (void)tenant;  // counted by Query(); approximation self-bounds by budget
-  if (request.approx_budget == 0) {
-    return Status::InvalidArgument(
-        "approximate mode requires a positive approx_budget");
-  }
-  Database::ReadScope lock(&db_);
-  BoundQuery query;
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage,
-                        CheckLocked(request.sql, nullptr, &query));
-  if (!coverage.covered) {
-    return Status::NotCovered("approximation requires a covered query: " +
-                              coverage.reason);
-  }
-  BEAS_ASSIGN_OR_RETURN(
-      ApproxResult approx,
-      session_.ExecuteApproximate(query, coverage.plan, request.approx_budget));
-  QueryResponse resp;
-  resp.result = std::move(approx.result);
-  resp.covered = true;
-  resp.eta = approx.eta;
-  resp.approx_exact = approx.exact;
-  resp.approx_budget = approx.budget;
-  resp.tuples_fetched = approx.tuples_fetched;
-  resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-  resp.decision.deduced_bound = coverage.plan.total_access_bound;
-  resp.decision.explanation =
-      "budgeted approximation (budget " + WithCommas(approx.budget) + ")";
-  DetachResultStrings(&resp.result);
-  return resp;
-}
-
-Result<ApproxResult> BeasService::ExecuteApproximate(const std::string& sql,
-                                                     uint64_t budget) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kApproximate;
-  request.approx_budget = budget;
-  BEAS_ASSIGN_OR_RETURN(QueryResponse resp, Query(request));
-  ApproxResult approx;
-  approx.result = std::move(resp.result);
-  approx.eta = resp.eta;
-  approx.budget = resp.approx_budget;
-  approx.tuples_fetched = resp.tuples_fetched;
-  approx.exact = resp.approx_exact;
-  return approx;
-}
-
-Result<QueryResponse> BeasService::QueryCheckOnly(const QueryRequest& request) {
-  Database::ReadScope lock(&db_);
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, CheckLocked(request.sql));
-  QueryResponse resp;
-  resp.covered = coverage.covered;
-  resp.unsatisfiable = coverage.unsatisfiable;
-  resp.reason = coverage.reason;
-  resp.decision.deduced_bound =
-      coverage.covered ? coverage.plan.total_access_bound : 0;
-  resp.coverage = std::move(coverage);
-  return resp;
-}
-
-Result<CoverageResult> BeasService::Check(const std::string& sql) {
-  QueryRequest request;
-  request.sql = sql;
-  request.mode = QueryMode::kCheckOnly;
-  BEAS_ASSIGN_OR_RETURN(QueryResponse resp, Query(request));
-  return std::move(resp.coverage);
-}
-
-Result<CoverageResult> BeasService::CheckLocked(
-    const std::string& sql, bool* cache_hit, BoundQuery* query_out,
-    std::shared_ptr<const PlanCache::Entry>* entry_out) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (entry_out != nullptr) entry_out->reset();
-  if (!cache_enabled_.load(std::memory_order_relaxed)) {
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    Result<CoverageResult> coverage = session_.Check(query);
-    if (query_out != nullptr) *query_out = std::move(query);
-    return coverage;
-  }
-  Result<SqlTemplate> masked_r = MaskSqlLiterals(sql);
-  if (!masked_r.ok()) {
-    BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-    Result<CoverageResult> coverage = session_.Check(query);
-    if (query_out != nullptr) *query_out = std::move(query);
-    return coverage;
-  }
-  SqlTemplate masked = std::move(*masked_r);
-  QueryTemplate key;
-  key.canonical = masked.text;
-  key.hash = HashString(key.canonical);
-
-  std::shared_ptr<const PlanCache::Entry> entry =
-      cache_.Lookup(key, masked.params);
-  if (entry != nullptr && entry->prepared != nullptr) {
-    Result<BoundQuery> inst =
-        InstantiatePrepared(*entry->prepared, masked.params);
-    if (inst.ok()) {
-      Result<BoundedPlan> plan =
-          entry->covered ? RebindPlanConstants(entry->plan, *inst)
-                         : Result<BoundedPlan>(BoundedPlan(entry->plan));
-      if (plan.ok()) {
-        CoverageResult coverage;
-        coverage.covered = entry->covered;
-        coverage.unsatisfiable = entry->unsatisfiable;
-        coverage.plan = std::move(*plan);
-        coverage.reason = entry->reason;
-        coverage.nodes_explored = entry->nodes_explored;  // search saved
-        if (cache_hit != nullptr) *cache_hit = true;
-        if (query_out != nullptr) *query_out = std::move(*inst);
-        if (entry_out != nullptr) *entry_out = std::move(entry);
-        return coverage;
+Status BeasService::ResolvePlan(const TemplateInfo& tinfo,
+                                ResolvedPlan* out) {
+  CoverageResult& coverage = out->coverage;
+  const bool use_cache =
+      tinfo.have && cache_enabled_.load(std::memory_order_relaxed);
+  bool have_query = false;
+  if (use_cache) {
+    out->tmpl.canonical = tinfo.masked.text;
+    out->tmpl.hash = HashString(out->tmpl.canonical);
+    // Hit: instantiate the cached template (the variant matching this
+    // instance's frozen parameters), skipping parse+bind and the coverage
+    // search, and rebind the plan's fetch-key constants.
+    std::shared_ptr<const PlanCache::Entry> entry =
+        cache_.Lookup(out->tmpl, tinfo.masked.params);
+    if (entry != nullptr && entry->prepared != nullptr) {
+      Result<BoundQuery> inst =
+          InstantiatePrepared(*entry->prepared, tinfo.masked.params);
+      if (inst.ok()) {
+        out->query = std::move(*inst);
+        have_query = true;
+        Result<BoundedPlan> rebound =
+            entry->covered ? RebindPlanConstants(entry->plan, out->query)
+                           : Result<BoundedPlan>(BoundedPlan());
+        if (rebound.ok()) {
+          coverage.covered = entry->covered;
+          coverage.unsatisfiable = entry->unsatisfiable;
+          coverage.plan = std::move(*rebound);
+          coverage.reason = entry->reason;
+          coverage.nodes_explored = entry->nodes_explored;  // search saved
+          out->entry = std::move(entry);
+          out->hit = true;
+          return Status::OK();
+        }
+        // Rebind mismatch: re-plan below, reusing the instantiated query.
       }
     }
   }
 
-  BEAS_ASSIGN_OR_RETURN(BoundQuery query, db_.Bind(sql));
-  QueryTemplate tmpl = BuildQueryTemplate(masked, query);
-  BEAS_ASSIGN_OR_RETURN(CoverageResult coverage, session_.Check(query));
-  if (tmpl.cacheable) {
-    std::shared_ptr<PlanCache::Entry> fresh =
-        MakeEntry(sql, masked, tmpl, query, coverage);
-    if (entry_out != nullptr) *entry_out = fresh;
-    if (fresh->prepared != nullptr) {
-      cache_.Insert(key, std::move(fresh));
-    } else {
-      cache_.NoteUncacheable();
-    }
-  } else {
-    // Keep stats consistent with ExecuteLocked's uncacheable accounting.
-    cache_.NoteUncacheable();
+  if (!have_query) {
+    BEAS_ASSIGN_OR_RETURN(out->query, db_.Bind(tinfo.sql));
   }
-  if (query_out != nullptr) *query_out = std::move(query);
-  return coverage;
+  BEAS_ASSIGN_OR_RETURN(coverage, session_.Check(out->query));
+  // Malformed literal syntax (masking failed): no template, no caches.
+  if (!tinfo.have) return Status::OK();
+  out->tmpl = BuildQueryTemplate(tinfo.masked, out->query);
+  if (!use_cache) return Status::OK();
+  std::shared_ptr<PlanCache::Entry> fresh;
+  if (out->tmpl.cacheable) {
+    fresh = MakeEntry(tinfo.sql, tinfo.masked, out->tmpl, out->query,
+                      coverage);
+  }
+  if (fresh == nullptr || fresh->prepared == nullptr) {
+    // A value-dependent template, or a masker/lexer divergence: the
+    // template can never be served from the cache.
+    cache_.NoteUncacheable();
+    return Status::OK();
+  }
+  cache_.Insert(out->tmpl, fresh);
+  out->entry = std::move(fresh);
+  return Status::OK();
+}
+
+Status BeasService::RunPartial(const ResolvedPlan& plan, QueryResponse* resp) {
+  const PlanCache::Entry* entry = plan.entry.get();
+  PartialPlanChoice choice;
+  bool cached = plan.hit && entry->partial_computed;
+  if (cached) {
+    // Copy only the cheap choice fields; the plan skeleton is copied
+    // once, inside RebindPlanConstants.
+    choice.found = entry->partial.found;
+    choice.atom_enabled = entry->partial.atom_enabled;
+    choice.conjunct_enabled = entry->partial.conjunct_enabled;
+    if (choice.found) {
+      Result<BoundedPlan> rebound = RebindPlanConstants(
+          entry->partial.plan, plan.query, choice.conjunct_enabled);
+      if (rebound.ok()) {
+        choice.plan = std::move(*rebound);
+      } else {
+        cached = false;
+      }
+    }
+  }
+  if (!cached) {
+    // Fresh subset search: a miss, or an entry whose fallback was never
+    // computed (a check-only or strict-bounded request populated it).
+    BEAS_ASSIGN_OR_RETURN(choice, session_.ChoosePartialPlan(plan.query));
+    if (entry != nullptr) {
+      auto updated = std::make_shared<PlanCache::Entry>(*entry);
+      updated->partial_computed = true;
+      updated->partial = choice;
+      cache_.Insert(plan.tmpl, std::move(updated));
+    }
+  }
+  BoundedExecOptions exec_options;
+  exec_options.collect_stats = !cached;
+  exec_options.probe_pool = &pool_;
+  BEAS_ASSIGN_OR_RETURN(
+      PartialPlanResult partial,
+      session_.ExecutePartialChoice(plan.query, choice,
+                                    options_.fallback_profile, exec_options));
+  resp->cache_hit = cached;
+  resp->result = std::move(partial.result);
+  resp->decision.mode =
+      partial.any_bounded
+          ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
+          : BeasSession::ExecutionDecision::Mode::kConventional;
+  resp->decision.deduced_bound = partial.fragment_access_bound;
+  resp->decision.explanation = plan.coverage.reason + "; " +
+                               partial.description;
+  if (cached) resp->decision.explanation += " (cached template plan)";
+  return Status::OK();
 }
 
 std::future<Result<QueryResponse>> BeasService::Submit(QueryRequest request) {
@@ -1325,14 +1096,6 @@ std::future<Result<QueryResponse>> BeasService::Submit(QueryRequest request) {
     promise->set_value(Status::Unavailable("service is shutting down"));
   }
   return future;
-}
-
-std::future<Result<ServiceResponse>> BeasService::Submit(
-    const std::string& sql, const QueryOptions& qopts) {
-  QueryRequest request;
-  request.sql = sql;
-  request.options = qopts;
-  return Submit(std::move(request));
 }
 
 }  // namespace beas

@@ -133,10 +133,20 @@ const char* QueryModeName(QueryMode mode);
 Result<QueryMode> ParseQueryMode(const std::string& token);
 
 /// \brief The unified read-side request envelope: one serializable
-/// struct that every entry point — in-process shims and both wire
-/// protocols — funnels into, so there is exactly one admission path and
-/// one telemetry story.
+/// struct that every caller — in-process code and both wire protocols —
+/// hands to BeasService::Query, so there is exactly one admission path
+/// and one telemetry story.
 struct QueryRequest {
+  QueryRequest() = default;
+  /// The common in-process shape: `svc.Query({sql, QueryMode::kBoundedOnly,
+  /// options})`; tenant and approx_budget are set by name.
+  QueryRequest(std::string sql_text,  // NOLINT(google-explicit-constructor)
+               QueryMode query_mode = QueryMode::kAuto,
+               QueryOptions query_options = {})
+      : sql(std::move(sql_text)),
+        mode(query_mode),
+        options(query_options) {}
+
   std::string sql;
   QueryMode mode = QueryMode::kAuto;
   QueryOptions options;
@@ -148,13 +158,13 @@ struct QueryRequest {
 };
 
 /// \brief The unified response envelope: a query answer plus the
-/// service-level telemetry, for every mode. (`ServiceResponse` is the
-/// historical name; the two are one type.)
+/// service-level telemetry, for every mode.
 ///
 /// Mode-specific fields: kCheckOnly fills `covered`/`unsatisfiable`/
-/// `reason`/`coverage` and leaves `result` empty; kApproximate fills
-/// `approx_exact`/`approx_budget`/`tuples_fetched`; the execution modes
-/// fill `result`/`decision` and the resilience telemetry.
+/// `reason` and `decision.deduced_bound`, and leaves `result` empty;
+/// kApproximate fills `approx_exact`/`approx_budget`/`tuples_fetched`;
+/// the execution modes fill `result`/`decision` and the resilience
+/// telemetry. `cache_hit`/`cacheable` report the plan cache in every mode.
 struct QueryResponse {
   QueryResult result;
   BeasSession::ExecutionDecision decision;
@@ -178,10 +188,6 @@ struct QueryResponse {
   bool covered = false;
   bool unsatisfiable = false;
   std::string reason;       ///< diagnosis when not covered
-  /// The full checker verdict incl. the bounded plan — populated in
-  /// kCheckOnly mode only (it does not serialize; the wire carries the
-  /// scalar summary above).
-  CoverageResult coverage;
   /// @}
   /// \name Approximation telemetry (kApproximate).
   /// @{
@@ -190,10 +196,6 @@ struct QueryResponse {
   uint64_t tuples_fetched = 0;
   /// @}
 };
-
-/// Historical name for the unified envelope, kept so existing callers
-/// (and their tests) compile unchanged.
-using ServiceResponse = QueryResponse;
 
 /// \brief Live wire-server gauges, owned by the service so beas_stats can
 /// report them uniformly: an in-process service (no server attached)
@@ -221,9 +223,9 @@ struct ResultCacheStats;  // service/result_cache.h
 /// concurrent clients over them under the engine's per-shard
 /// single-writer/multi-reader contract (see Database):
 ///
-///  * Read paths (Execute / ExecuteBounded / ExecuteApproximate / Check /
-///    Submit) bracket themselves with Database::ReadScope (structural +
-///    every storage shard, shared) and run concurrently.
+///  * The read path (Query, and Submit which queues a Query) brackets
+///    itself with Database::ReadScope (structural + every storage shard,
+///    shared); reads run concurrently.
 ///  * Data writes (Insert / InsertBatch / Delete) go straight to the
 ///    Database, which locks only the shards the rows hash to — writers
 ///    to disjoint shards proceed in parallel.
@@ -236,7 +238,7 @@ struct ResultCacheStats;  // service/result_cache.h
 /// Real workloads are dominated by repeated parameterized templates, and
 /// for BEAS the expensive per-query work — the BE checker's coverage
 /// search and the partial-plan optimizer's subset search — depends only on
-/// the template, not the parameter values. Execute therefore normalizes
+/// the template, not the parameter values. Query therefore normalizes
 /// each query (token-level + bound-AST constant lifting), looks its
 /// template up in a sharded LRU cache, and on a hit skips straight to
 /// execution with the cached plan skeleton, rebinding fetch-key constants
@@ -288,44 +290,26 @@ class BeasService {
   /// @}
 
   /// \name Read side (shared lock; safe from many threads).
-  ///
-  /// Query() is THE read-side entry point: every mode, every tenant,
-  /// every transport funnels through it — one admission path, one
-  /// telemetry struct, one serialization. The named entry points below it
-  /// are documented thin shims kept for in-process callers.
   /// @{
+  /// THE read-side entry point: every mode, every tenant, every transport
+  /// funnels through it — one admission path, one telemetry struct, one
+  /// serialization. One body serves all four modes (§3's online
+  /// pipeline): prepare the template, serve a materialized answer when
+  /// one is valid (kAuto / kBoundedOnly), resolve the plan through the
+  /// template cache (hit: instantiate and rebind; miss: bind, check,
+  /// insert), then a short per-mode tail — the verdict (kCheckOnly), the
+  /// approximator (kApproximate), the admitted bounded plan (covered), or
+  /// the partially bounded fallback (kAuto, not covered; no admission).
   Result<QueryResponse> Query(const QueryRequest& request);
 
-  /// Shim: Query() in kAuto mode with no tenant.
-  Result<ServiceResponse> Execute(const std::string& sql) {
-    return Execute(sql, QueryOptions{});
-  }
-  /// Shim: kAuto with per-request deadline / cancellation / budget / min-η.
-  Result<ServiceResponse> Execute(const std::string& sql,
-                                  const QueryOptions& qopts);
-  /// Shim: Query() in kBoundedOnly mode.
-  Result<ServiceResponse> ExecuteBounded(const std::string& sql) {
-    return ExecuteBounded(sql, QueryOptions{});
-  }
-  Result<ServiceResponse> ExecuteBounded(const std::string& sql,
-                                         const QueryOptions& qopts);
-  /// Shim: Query() in kApproximate mode, repackaged as an ApproxResult.
-  Result<ApproxResult> ExecuteApproximate(const std::string& sql,
-                                          uint64_t budget);
-  /// Shim: Query() in kCheckOnly mode, returning the checker verdict.
-  Result<CoverageResult> Check(const std::string& sql);
-  /// @}
+  /// Query() in kAuto mode with default options and no tenant.
+  Result<QueryResponse> Execute(const std::string& sql) { return Query({sql}); }
 
   /// Enqueues the request on the worker pool; the future resolves to the
   /// same response Query() would produce. At max_queue_depth in-flight
   /// submissions the call resolves immediately with kResourceExhausted.
   std::future<Result<QueryResponse>> Submit(QueryRequest request);
-  /// Shims onto Submit(QueryRequest) in kAuto mode.
-  std::future<Result<ServiceResponse>> Submit(const std::string& sql) {
-    return Submit(sql, QueryOptions{});
-  }
-  std::future<Result<ServiceResponse>> Submit(const std::string& sql,
-                                              const QueryOptions& qopts);
+  /// @}
 
   /// \name Serving-health metadata table.
   /// Queries that mention `beas_stats` trigger a refresh of a real table
@@ -340,7 +324,7 @@ class BeasService {
   /// counters are sampled one shard at a time (ShardReadScope each) — the
   /// refresh never holds two shard locks at once, so it cannot invert
   /// lock order against per-shard writers; only the final row rebuild
-  /// takes the structural lock exclusively. Execute() calls this
+  /// takes the structural lock exclusively. Query() calls this
   /// automatically for queries that mention the table; exposed for tests
   /// and manual refresh.
   Status RefreshStatsTable();
@@ -438,16 +422,6 @@ class BeasService {
     std::atomic<uint64_t> degraded{0};
   };
 
-  /// Mode dispatchers behind Query(); each assumes Query() already did
-  /// tenant accounting. `tenant` may be null (anonymous).
-  Result<QueryResponse> QueryAuto(const QueryRequest& request,
-                                  TenantState* tenant);
-  Result<QueryResponse> QueryBoundedOnly(const QueryRequest& request,
-                                         TenantState* tenant);
-  Result<QueryResponse> QueryApproximate(const QueryRequest& request,
-                                         TenantState* tenant);
-  Result<QueryResponse> QueryCheckOnly(const QueryRequest& request);
-
   /// Returns the tenant's state, creating it on first sight (null for the
   /// empty/anonymous tenant).
   TenantState* TenantFor(const std::string& tenant);
@@ -493,14 +467,6 @@ class BeasService {
                         const std::vector<std::string>& tables);
   /// @}
 
-  /// Cached-path Execute; caller holds the shared lock. `tinfo` is the
-  /// request's prepared template (PrepareTemplate); `tables_out` (may be
-  /// null) receives the lowercased names of the tables the query read.
-  Result<QueryResponse> ExecuteLocked(const QueryRequest& request,
-                                      const TemplateInfo& tinfo,
-                                      TenantState* tenant,
-                                      std::vector<std::string>* tables_out);
-
   /// One admitted reservation against max_inflight_cost (and, when the
   /// request names a tenant, that tenant's cap). `charged`/
   /// `tenant_charged` are released by ReleaseAdmission; `grant` < the
@@ -529,40 +495,48 @@ class BeasService {
                             const QueryOptions& qopts, TenantState* tenant,
                             QueryResponse* resp);
 
-  /// Cached-path Check; caller holds the shared lock. `cache_hit` (may be
-  /// null) reports whether the verdict came from the template cache;
-  /// `query_out` (may be null) receives the bound or instantiated query
-  /// so callers can execute without re-binding; `entry_out` (may be null)
-  /// receives the resident cache entry — hit or freshly inserted — whose
-  /// compiled step programs callers pass to the executor.
-  Result<CoverageResult> CheckLocked(
-      const std::string& sql, bool* cache_hit = nullptr,
-      BoundQuery* query_out = nullptr,
-      std::shared_ptr<const PlanCache::Entry>* entry_out = nullptr);
+  /// One request's plan, as Query()'s tail consumes it.
+  struct ResolvedPlan {
+    BoundQuery query;  ///< bound, or instantiated from the cached binding
+    /// The checker verdict; when covered, `plan` is rebound to this
+    /// instance's constants. A hit on a not-covered entry leaves `plan`
+    /// empty (nothing executes it).
+    CoverageResult coverage;
+    /// The cache entry the plan came from (hit) or went into (miss);
+    /// null exactly when the request was not cacheable (cache off,
+    /// masking failed, value-dependent template, masker divergence).
+    std::shared_ptr<const PlanCache::Entry> entry;
+    bool hit = false;
+    /// The template key (canonical text + hash); on a miss also its
+    /// tables. Empty when masking failed.
+    QueryTemplate tmpl;
 
-  /// Full per-query pipeline, bypassing the cache.
-  Result<ServiceResponse> ExecuteUncachedQuery(const BoundQuery& query);
+    /// Lowercased names of the tables the query reads (the result
+    /// cache's epoch-validation set).
+    const std::vector<std::string>& tables() const {
+      return entry != nullptr ? entry->tables : tmpl.tables;
+    }
+  };
 
-  /// Runs the full pipeline on a cache miss and populates the cache.
-  /// `query` is already bound (or instantiated); `masked` identifies the
-  /// template and carries this instance's parameters.
-  Result<ServiceResponse> ExecuteMiss(const std::string& sql,
-                                      const SqlTemplate& masked,
-                                      BoundQuery query,
-                                      const QueryOptions& qopts,
-                                      TenantState* tenant);
+  /// The one plan-resolution path; caller holds the shared lock. A plan
+  /// cache hit instantiates the entry and rebinds its plan. Otherwise
+  /// (cache off, masking failed, uncacheable template, no variant, or a
+  /// rebind mismatch) it binds and checks, and inserts an entry when the
+  /// template is eligible.
+  Status ResolvePlan(const TemplateInfo& tinfo, ResolvedPlan* out);
 
-  /// Builds the cache entry skeleton shared by the miss paths: coverage
-  /// fields plus the prepared template (null if validation failed).
+  /// kAuto's not-covered tail: the cached (rebound) partial-plan choice
+  /// on a hit that has one, a freshly chosen one otherwise (stored back
+  /// into the entry). Runs without admission.
+  Status RunPartial(const ResolvedPlan& plan, QueryResponse* resp);
+
+  /// Builds a fresh cache entry: coverage fields, compiled step programs
+  /// (covered), and the prepared template (null if validation failed).
   std::shared_ptr<PlanCache::Entry> MakeEntry(const std::string& sql,
                                               const SqlTemplate& masked,
                                               const QueryTemplate& tmpl,
                                               const BoundQuery& query,
                                               const CoverageResult& coverage);
-
-  /// Execution options of the cached fast path: telemetry off, compiled
-  /// step programs from `entry`, probe fan-out over the worker pool.
-  BoundedExecOptions FastPathOptions(const PlanCache::Entry& entry) const;
 
   ServiceOptions options_;
   Database db_;

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/env.h"
 #include "common/exec_control.h"
@@ -628,6 +633,50 @@ TEST(FaultEnvTest, FlipBitAndShortReadAreCountedFaults) {
   EXPECT_GE(env.injected_faults(), 3u);
   // One-shot: the following read sees the whole file again.
   EXPECT_EQ(ReadWhole(&env, "/d/f"), "hello world");
+}
+
+// ---------------------------------------------------------------------------
+// The posix Env on a real temporary directory.
+// ---------------------------------------------------------------------------
+
+TEST(PosixEnvTest, RemoveAllNeverDescendsThroughSymbolicLinks) {
+  const char* base = std::getenv("TMPDIR");
+  std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
+                     "/beas_env_XXXXXX";
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  ASSERT_NE(mkdtemp(buf.data()), nullptr);
+  const std::string root = buf.data();
+  Env* env = Env::Default();
+  auto write = [env](const std::string& path) {
+    ASSERT_TRUE(env->WriteFileAtomic(path, "data").ok()) << path;
+  };
+
+  // keep/precious must survive removing victim/, which links into keep/
+  // (directly and as a dangling link) and holds a real nested tree.
+  ASSERT_TRUE(env->CreateDir(root + "/keep").ok());
+  write(root + "/keep/precious");
+  ASSERT_TRUE(env->CreateDir(root + "/victim").ok());
+  ASSERT_TRUE(env->CreateDir(root + "/victim/sub").ok());
+  write(root + "/victim/sub/file");
+  ASSERT_EQ(symlink("../keep", (root + "/victim/link").c_str()), 0);
+  ASSERT_EQ(symlink("../gone", (root + "/victim/dangling").c_str()), 0);
+  EXPECT_TRUE(env->IsDirectory(root + "/victim/sub"));
+  EXPECT_FALSE(env->IsDirectory(root + "/victim/link"));
+
+  env->RemoveAll(root + "/victim");
+  EXPECT_FALSE(env->FileExists(root + "/victim"));
+  EXPECT_TRUE(env->FileExists(root + "/keep/precious"));
+
+  // A link named directly is unlinked; its target stays.
+  ASSERT_EQ(symlink("keep", (root + "/alias").c_str()), 0);
+  env->RemoveAll(root + "/alias");
+  struct stat st;
+  EXPECT_NE(lstat((root + "/alias").c_str(), &st), 0);
+  EXPECT_TRUE(env->FileExists(root + "/keep/precious"));
+
+  env->RemoveAll(root);
+  EXPECT_FALSE(env->FileExists(root));
 }
 
 }  // namespace

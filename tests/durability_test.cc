@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "common/shard_config.h"
 #include "durability/durability_manager.h"
 #include "durability/segment.h"
@@ -57,7 +57,7 @@ struct TempDir {
     if (made != nullptr) path = made;
   }
   ~TempDir() {
-    if (!path.empty()) RemoveAll(path);
+    if (!path.empty()) Env::Default()->RemoveAll(path);
   }
 };
 
@@ -147,9 +147,10 @@ TEST(DurabilityWalTest, RoundTripAndTornTailRepair) {
   durability::EncodeWalRecord(&group, MakeRecord(1, "alpha"));
   durability::EncodeWalRecord(&group, MakeRecord(2, "beta"));
   durability::EncodeWalRecord(&group, MakeRecord(3, std::string("\0x\0", 3)));
-  AppendFile file;
-  ASSERT_TRUE(file.Open(path).ok());
-  ASSERT_TRUE(file.Append(group.str().data(), group.size()).ok());
+  auto opened = env->NewWritableFile(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<WritableFile> file = std::move(*opened);
+  ASSERT_TRUE(file->Append(group.str().data(), group.size()).ok());
 
   auto read = durability::ReadWalFile(env, path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -161,17 +162,17 @@ TEST(DurabilityWalTest, RoundTripAndTornTailRepair) {
   // A torn append: half a record of garbage. The valid prefix is
   // unchanged, and truncating to it makes the file clean again.
   const char garbage[] = "\x10\x00\x00\x00garbage";
-  ASSERT_TRUE(file.Append(garbage, sizeof(garbage)).ok());
+  ASSERT_TRUE(file->Append(garbage, sizeof(garbage)).ok());
   auto torn = durability::ReadWalFile(env, path);
   ASSERT_TRUE(torn.ok());
   EXPECT_EQ(torn->records.size(), 3u);
   EXPECT_EQ(torn->valid_bytes, read->valid_bytes);
-  ASSERT_TRUE(file.Truncate(torn->valid_bytes).ok());
+  ASSERT_TRUE(file->Truncate(torn->valid_bytes).ok());
   auto repaired = durability::ReadWalFile(env, path);
   ASSERT_TRUE(repaired.ok());
   EXPECT_EQ(repaired->records.size(), 3u);
   EXPECT_EQ(repaired->valid_bytes,
-            static_cast<uint64_t>(file.size()));
+            static_cast<uint64_t>(file->size()));
 }
 
 TEST(DurabilityWalTest, CorruptedRecordStopsTheParse) {
@@ -185,9 +186,9 @@ TEST(DurabilityWalTest, CorruptedRecordStopsTheParse) {
   std::string bytes = group.Take();
   // Flip one payload byte of the second record (its CRC now mismatches).
   bytes[bytes.size() - 1] ^= 0x5A;
-  AppendFile file;
-  ASSERT_TRUE(file.Open(path).ok());
-  ASSERT_TRUE(file.Append(bytes.data(), bytes.size()).ok());
+  auto file = env->NewWritableFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE((*file)->Append(bytes.data(), bytes.size()).ok());
 
   auto read = durability::ReadWalFile(env, path);
   ASSERT_TRUE(read.ok());
@@ -204,7 +205,7 @@ TEST(DurabilityWalTest, MissingFileIsEmptyForeignMagicIsError) {
   EXPECT_EQ(missing->valid_bytes, 0u);
 
   std::string foreign = tmp.path + "/foreign.wal";
-  ASSERT_TRUE(WriteFileAtomic(foreign, "NOTAWALFILE!").ok());
+  ASSERT_TRUE(env->WriteFileAtomic(foreign, "NOTAWALFILE!").ok());
   auto bad = durability::ReadWalFile(env, foreign);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
@@ -249,7 +250,7 @@ TEST(DurabilitySegmentTest, RoundTripValidatesKindAndCrc) {
     ss << in.rdbuf();
     std::string bytes = ss.str();
     bytes[bytes.size() - 1] ^= 0x5A;
-    ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+    ASSERT_TRUE(env->WriteFileAtomic(path, bytes).ok());
   }
   auto flipped =
       durability::OpenSegment(env, path, durability::SegmentKind::kDict);
@@ -400,9 +401,10 @@ std::string StateFingerprint(BeasService* svc) {
   }
   // End-to-end: a bounded query through the AC index (errors — e.g. "no
   // constraint registered yet" prefixes — render deterministically too).
-  auto resp = svc->ExecuteBounded(
-      "SELECT call.region FROM call WHERE call.pnum = 7 AND "
-      "call.date = '2016-03-15'");
+  auto resp = svc->Query(
+      {"SELECT call.region FROM call WHERE call.pnum = 7 AND "
+       "call.date = '2016-03-15'",
+       QueryMode::kBoundedOnly});
   if (resp.ok()) {
     std::vector<Row> rows = resp->result.rows;
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
