@@ -380,9 +380,13 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
                                           exec_options, request.options,
                                           tenant, &resp));
     resp.decision.mode = BeasSession::ExecutionDecision::Mode::kBounded;
-    resp.decision.explanation = plan.hit
-                                    ? plan.entry->covered_explanation
-                                    : BoundedExplanation(bound, false);
+    // (An if, not a conditional expression: `hit ? lvalue : prvalue`
+    // would copy the cached text twice.)
+    if (plan.hit) {
+      resp.decision.explanation = plan.entry->covered_explanation;
+    } else {
+      resp.decision.explanation = BoundedExplanation(bound, false);
+    }
   } else if (mode == QueryMode::kBoundedOnly) {
     return Status::NotCovered(coverage.reason);
   } else {
@@ -1067,9 +1071,9 @@ Status BeasService::RunPartial(const ResolvedPlan& plan, QueryResponse* resp) {
           ? BeasSession::ExecutionDecision::Mode::kPartiallyBounded
           : BeasSession::ExecutionDecision::Mode::kConventional;
   resp->decision.deduced_bound = partial.fragment_access_bound;
-  resp->decision.explanation = plan.coverage.reason + "; " +
-                               partial.description;
-  if (cached) resp->decision.explanation += " (cached template plan)";
+  resp->decision.explanation =
+      plan.coverage.reason + "; " + partial.description +
+      (cached ? " (cached template plan)" : "");
   return Status::OK();
 }
 
