@@ -396,8 +396,10 @@ Result<QueryResponse> BeasService::Query(const QueryRequest& request) {
   DetachResultStrings(&resp.result);
   if (!rkey.empty()) {
     // Same ReadScope the answer was computed under: the epochs captured
-    // here are exactly the epochs the answer was evaluated at.
-    MaybeStoreResult(rhash, rkey, resp, request.options, plan.tables());
+    // here are exactly the epochs the answer was evaluated at. A hit
+    // carries no table list of its own; its entry's is the same.
+    MaybeStoreResult(rhash, rkey, resp, request.options,
+                     plan.hit ? plan.entry->tables : plan.tmpl.tables);
   }
   return resp;
 }
@@ -423,7 +425,6 @@ BeasService::TemplateInfo BeasService::PrepareTemplate(const std::string& sql) {
   }
   info.masked = std::move(canon.tmpl);
   info.sql = std::move(*rendered);
-  info.canonicalized = true;
   template_canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   return info;
 }

@@ -435,7 +435,6 @@ class BeasService {
     bool have = false;
     SqlTemplate masked;
     std::string sql;
-    bool canonicalized = false;
   };
 
   /// Masks and canonicalizes `sql`. A changed canonical form is accepted
@@ -510,12 +509,6 @@ class BeasService {
     /// The template key (canonical text + hash); on a miss also its
     /// tables. Empty when masking failed.
     QueryTemplate tmpl;
-
-    /// Lowercased names of the tables the query reads (the result
-    /// cache's epoch-validation set).
-    const std::vector<std::string>& tables() const {
-      return entry != nullptr ? entry->tables : tmpl.tables;
-    }
   };
 
   /// The one plan-resolution path; caller holds the shared lock. A plan
