@@ -15,13 +15,15 @@ namespace durability {
 namespace {
 
 constexpr const char* kManifestName = "MANIFEST";
-constexpr const char* kCkMetaName = "CKMETA";
 
-Status MetaLogFailedError() {
-  return Status::Unavailable(
-      "durability: a structural change could not be logged; the in-memory "
-      "state is ahead of the WAL, refusing further durable writes");
-}
+/// Group-commit retry: a failed group is repaired and re-attempted up to
+/// kWalRetryLimit times before the shard latches, backing off
+/// kWalRetryBackoffMs before the first retry and doubling per attempt up
+/// to kWalRetryBackoffCapMs. Writers in the group wait through it — under
+/// a transient fault, a slow ack beats a spurious nack.
+constexpr uint64_t kWalRetryLimit = 3;
+constexpr uint64_t kWalRetryBackoffMs = 1;
+constexpr uint64_t kWalRetryBackoffCapMs = 100;
 
 Status WalLatchedError() {
   return Status::Unavailable(
@@ -45,12 +47,23 @@ Status MergePoint(Status st, const char* site) {
   return st.ok() ? injected : st;
 }
 
-bool IsTransientTable(const DurabilityOptions& options,
-                      const std::string& table) {
-  for (const std::string& t : options.transient_tables) {
-    if (EqualsIgnoreCase(t, table)) return true;
+/// The file of one checkpoint unit in `seg_dir`: `name` is the table, or
+/// the constraint of an index; the manifest kind names the CKMETA copy.
+std::string SegmentPath(const std::string& seg_dir, SegmentKind kind,
+                        const std::string& name, size_t shard = 0) {
+  switch (kind) {
+    case SegmentKind::kTableMeta:
+      return seg_dir + "/t_" + name + ".meta.seg";
+    case SegmentKind::kDict:
+      return seg_dir + "/t_" + name + ".dict.seg";
+    case SegmentKind::kShardRows:
+      return seg_dir + "/t_" + name + ".s" + std::to_string(shard) + ".seg";
+    case SegmentKind::kIndex:
+      return seg_dir + "/c_" + name + ".idx.seg";
+    case SegmentKind::kManifest:
+      break;
   }
-  return false;
+  return seg_dir + "/CKMETA";
 }
 
 /// Parses "ck<digits>" into the checkpoint id; 0 when malformed.
@@ -112,17 +125,15 @@ Status DurabilityManager::Open() {
     if (options_.dir.empty()) {
       return Status::InvalidArgument("durability dir must be non-empty");
     }
-    BEAS_RETURN_NOT_OK(Recover());
+    replaying_ = true;
+    Status recovered = Recover();
+    replaying_ = false;
+    BEAS_RETURN_NOT_OK(recovered);
 
-    wal_shard_count_ = db_->num_shard_locks();
-    for (size_t k = 0; k < wal_shard_count_; ++k) {
-      auto wal = std::make_unique<ShardWal>();
-      BEAS_RETURN_NOT_OK(InitWalFile(env_, WalPath(k)));
-      BEAS_ASSIGN_OR_RETURN(wal->file, env_->NewWritableFile(WalPath(k)));
-      shard_wals_.push_back(std::move(wal));
+    for (size_t k = 0; k < db_->num_shard_locks(); ++k) {
+      shard_wals_.push_back(std::make_unique<ShardWal>());
     }
-    BEAS_RETURN_NOT_OK(InitWalFile(env_, MetaWalPath()));
-    BEAS_ASSIGN_OR_RETURN(meta_wal_, env_->NewWritableFile(MetaWalPath()));
+    BEAS_RETURN_NOT_OK(OpenWals(/*latch_failures=*/false));
 
     // Structural-op logging hooks. Registered after recovery, so replayed
     // operations were never at risk of being re-logged; from here on,
@@ -133,7 +144,7 @@ Status DurabilityManager::Open() {
         [this](AsCatalog::ChangeKind kind, const std::string& table,
                const std::string& name) { OnCatalogChange(kind, table, name); });
 
-    for (size_t k = 0; k < wal_shard_count_; ++k) {
+    for (size_t k = 0; k < shard_wals_.size(); ++k) {
       shard_wals_[k]->drainer = std::thread([this, k] { DrainerLoop(k); });
     }
     opened_ = true;
@@ -175,10 +186,7 @@ std::future<Status> DurabilityManager::Enqueue(size_t wal_shard,
 }
 
 Status DurabilityManager::Insert(const std::string& table, Row row) {
-  if (!open_status_.ok()) return open_status_;
-  if (meta_log_failed_.load(std::memory_order_acquire)) {
-    return MetaLogFailedError();
-  }
+  BEAS_RETURN_NOT_OK(CheckWritable());
   std::shared_lock<std::shared_mutex> gate(commit_mutex_);
   // Validate + coerce before logging: doomed rows are rejected without
   // burning WAL bytes, and the record routes to the queue of the shard it
@@ -189,17 +197,14 @@ Status DurabilityManager::Insert(const std::string& table, Row row) {
   ByteSink payload;
   payload.PutString(table);
   WriteRow(&payload, row);
-  return Enqueue(shard % wal_shard_count_, WalRecordType::kInsert,
+  return Enqueue(shard % shard_wals_.size(), WalRecordType::kInsert,
                  payload.Take())
       .get();
 }
 
 Status DurabilityManager::InsertBatch(const std::string& table,
                                       std::vector<Row> rows) {
-  if (!open_status_.ok()) return open_status_;
-  if (meta_log_failed_.load(std::memory_order_acquire)) {
-    return MetaLogFailedError();
-  }
+  BEAS_RETURN_NOT_OK(CheckWritable());
   if (rows.empty()) return Status::OK();
   std::shared_lock<std::shared_mutex> gate(commit_mutex_);
   // A batch can land in any heap shard, so any quarantined shard of the
@@ -218,16 +223,13 @@ Status DurabilityManager::InsertBatch(const std::string& table,
   payload.PutString(table);
   payload.PutU32(static_cast<uint32_t>(rows.size()));
   for (const Row& row : rows) WriteRow(&payload, row);
-  return Enqueue(shard % wal_shard_count_, WalRecordType::kInsertBatch,
+  return Enqueue(shard % shard_wals_.size(), WalRecordType::kInsertBatch,
                  payload.Take())
       .get();
 }
 
 Status DurabilityManager::Delete(const std::string& table, const Row& row) {
-  if (!open_status_.ok()) return open_status_;
-  if (meta_log_failed_.load(std::memory_order_acquire)) {
-    return MetaLogFailedError();
-  }
+  BEAS_RETURN_NOT_OK(CheckWritable());
   std::shared_lock<std::shared_mutex> gate(commit_mutex_);
   // A delete scans every shard of the table.
   BEAS_RETURN_NOT_OK(CheckQuarantine(table, -1));
@@ -239,7 +241,7 @@ Status DurabilityManager::Delete(const std::string& table, const Row& row) {
   // LSN: a caller that deletes only after its insert acked enqueues
   // strictly later, so the delete is stamped (and replayed) later.
   size_t wal_shard =
-      Crc32c(payload.str().data(), payload.size()) % wal_shard_count_;
+      Crc32c(payload.str().data(), payload.size()) % shard_wals_.size();
   return Enqueue(wal_shard, WalRecordType::kDelete, payload.Take()).get();
 }
 
@@ -250,10 +252,16 @@ Result<TableInfo*> DurabilityManager::CreateTable(const std::string& name,
   // Apply-then-log: the DDL hook fires inside CreateTable (on success
   // only) and writes the meta record under this gate.
   Result<TableInfo*> info = db_->CreateTable(name, schema);
-  if (info.ok() && meta_log_failed_.load(std::memory_order_acquire)) {
-    return MetaLogFailedError();
-  }
+  if (info.ok()) BEAS_RETURN_NOT_OK(CheckWritable());
   return info;
+}
+
+Status DurabilityManager::CheckWritable() const {
+  if (!open_status_.ok()) return open_status_;
+  if (!meta_log_failed_.load(std::memory_order_acquire)) return Status::OK();
+  return Status::Unavailable(
+      "durability: a structural change could not be logged; the in-memory "
+      "state is ahead of the WAL, refusing further durable writes");
 }
 
 Status DurabilityManager::CheckQuarantine(const std::string& table,
@@ -263,28 +271,19 @@ Status DurabilityManager::CheckQuarantine(const std::string& table,
   }
   std::lock_guard<std::mutex> lk(quarantine_mutex_);
   const std::string key = ToLower(table);
-  bool hit = false;
-  if (shard >= 0) {
-    hit = quarantined_.count({key, static_cast<size_t>(shard)}) != 0;
-  } else {
-    for (const auto& q : quarantined_) {
-      if (q.first == key) {
-        hit = true;
-        break;
-      }
-    }
+  // Ordered by (table, shard): the lower bound of (table, 0) is the
+  // table's first quarantined shard, if any.
+  const std::pair<std::string, size_t> probe{
+      key, shard >= 0 ? static_cast<size_t>(shard) : 0};
+  auto it = quarantined_.lower_bound(probe);
+  if (it == quarantined_.end() ||
+      (shard >= 0 ? *it != probe : it->first != key)) {
+    return Status::OK();
   }
-  if (!hit) return Status::OK();
   return Status::Unavailable(
       "durability: table '" + table +
       "' has a shard quarantined by the scrubber pending repair; durable "
       "writes refused (reads still serve)");
-}
-
-bool DurabilityManager::IsShardQuarantined(const std::string& table,
-                                           size_t shard) const {
-  std::lock_guard<std::mutex> lk(quarantine_mutex_);
-  return quarantined_.count({ToLower(table), shard}) != 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +376,7 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         commit = MergePoint(std::move(commit), "wal_append");
         if (commit.ok()) commit = fail::Point("wal_group_io");
         if (commit.ok()) commit = fail::Point("wal_pre_fsync");
-        if (commit.ok() && options_.fsync) {
+        if (commit.ok()) {
           commit = wal.file->Sync();
           wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -398,14 +397,14 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         // persist the cut, so the bytes can neither shadow later acked
         // groups at recovery nor be replayed themselves.
         Status repair = wal.file->Truncate(good_offset);
-        if (repair.ok() && options_.fsync) repair = wal.file->Sync();
+        if (repair.ok()) repair = wal.file->Sync();
         repair = MergePoint(std::move(repair), "wal_repair_fail");
         if (!repair.ok()) {
           wal.io_failed.store(true, std::memory_order_release);
           io = WalLatchedError();
           break;
         }
-        if (attempt >= options_.wal_retry_limit) {
+        if (attempt >= kWalRetryLimit) {
           // Hard fault: the file is repaired (ends at the acked prefix)
           // but the device keeps refusing the group. Latch and surface a
           // typed refusal — "acked but unrecoverable" stays impossible.
@@ -418,9 +417,9 @@ void DurabilityManager::DrainerLoop(size_t wal_shard) {
         }
         ++attempt;
         wal_retries_total_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t backoff = options_.wal_retry_backoff_ms << (attempt - 1);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::min<uint64_t>(backoff, 100)));
+        uint64_t backoff = kWalRetryBackoffMs << (attempt - 1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min<uint64_t>(backoff, kWalRetryBackoffCapMs)));
       }
     }
     // Apply in FIFO order, then ack. On an IO failure nothing applies:
@@ -454,12 +453,15 @@ void DurabilityManager::MarkStructuralDirty() {
 Status DurabilityManager::ApplyRecord(const WalRecord& record) {
   ByteReader r(record.payload.data(), record.payload.size());
   switch (record.type) {
-    case WalRecordType::kInsert: {
+    case WalRecordType::kInsert:
+    case WalRecordType::kDelete: {
       std::string table = r.GetString();
       BEAS_ASSIGN_OR_RETURN(Row row, ReadRow(&r));
-      if (!r.ok()) return Status::IoError("bad insert record");
+      if (!r.ok()) return Status::IoError("bad insert/delete record");
       MarkTableDirty(table);
-      return db_->Insert(table, std::move(row));
+      return record.type == WalRecordType::kInsert
+                 ? db_->Insert(table, std::move(row))
+                 : db_->DeleteWhereEquals(table, row);
     }
     case WalRecordType::kInsertBatch: {
       std::string table = r.GetString();
@@ -475,13 +477,6 @@ Status DurabilityManager::ApplyRecord(const WalRecord& record) {
       }
       MarkTableDirty(table);
       return db_->InsertBatch(table, std::move(rows));
-    }
-    case WalRecordType::kDelete: {
-      std::string table = r.GetString();
-      BEAS_ASSIGN_OR_RETURN(Row row, ReadRow(&r));
-      if (!r.ok()) return Status::IoError("bad delete record");
-      MarkTableDirty(table);
-      return db_->DeleteWhereEquals(table, row);
     }
     // Structural records never flow through the shard queues; they are
     // applied here only during recovery replay (single-threaded).
@@ -527,7 +522,7 @@ Status DurabilityManager::ApplyRecord(const WalRecord& record) {
 // Structural-op logging (meta WAL).
 // ---------------------------------------------------------------------------
 
-Status DurabilityManager::LogMeta(WalRecordType type, std::string payload) {
+void DurabilityManager::LogMeta(WalRecordType type, std::string payload) {
   // Any structural change invalidates the checkpoint-time memory
   // baselines (conservatively: the next checkpoint re-arms the scrubber).
   MarkStructuralDirty();
@@ -538,70 +533,60 @@ Status DurabilityManager::LogMeta(WalRecordType type, std::string payload) {
   ByteSink frame;
   EncodeWalRecord(&frame, record);
   std::lock_guard<std::mutex> lk(meta_mutex_);
-  if (meta_wal_ == nullptr) {
-    return Status::Unavailable("durability: meta WAL unavailable");
+  if (meta_wal_ == nullptr ||
+      !meta_wal_->Append(frame.str().data(), frame.size()).ok() ||
+      !meta_wal_->Sync().ok()) {
+    meta_log_failed_.store(true, std::memory_order_release);
+    return;
   }
-  BEAS_RETURN_NOT_OK(meta_wal_->Append(frame.str().data(), frame.size()));
-  if (options_.fsync) {
-    BEAS_RETURN_NOT_OK(meta_wal_->Sync());
-    wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
-  }
+  wal_fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_total_.fetch_add(frame.size(), std::memory_order_relaxed);
   wal_records_total_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_since_checkpoint_.fetch_add(frame.size(),
                                         std::memory_order_relaxed);
-  return Status::OK();
 }
 
 void DurabilityManager::OnDdl(const std::string& table) {
-  if (replaying_ || IsTransientTable(options_, table)) return;
+  if (replaying_ || EqualsIgnoreCase(table, kStatsTableName)) return;
   Result<TableInfo*> info = db_->catalog()->GetTable(table);
   if (!info.ok()) return;
   ByteSink payload;
   payload.PutString((*info)->name());
   WriteSchema(&payload, (*info)->schema());
-  if (!LogMeta(WalRecordType::kCreateTable, payload.Take()).ok()) {
-    meta_log_failed_.store(true, std::memory_order_release);
-  }
+  LogMeta(WalRecordType::kCreateTable, payload.Take());
 }
 
 void DurabilityManager::OnCatalogChange(AsCatalog::ChangeKind kind,
                                         const std::string& table,
                                         const std::string& name) {
-  if (replaying_ || IsTransientTable(options_, table)) return;
-  Status logged = Status::OK();
+  if (replaying_ || EqualsIgnoreCase(table, kStatsTableName)) return;
+  ByteSink payload;
+  WalRecordType type = WalRecordType::kDictRebuild;
   switch (kind) {
     case AsCatalog::ChangeKind::kConstraintRegistered: {
       Result<const AccessConstraint*> c = catalog_->schema().Find(name);
       if (!c.ok()) return;
-      ByteSink payload;
       WriteConstraint(&payload, **c);
-      logged = LogMeta(WalRecordType::kRegisterConstraint, payload.Take());
+      type = WalRecordType::kRegisterConstraint;
       break;
     }
-    case AsCatalog::ChangeKind::kConstraintUnregistered: {
-      ByteSink payload;
+    case AsCatalog::ChangeKind::kConstraintUnregistered:
       payload.PutString(name);
-      logged = LogMeta(WalRecordType::kUnregisterConstraint, payload.Take());
+      type = WalRecordType::kUnregisterConstraint;
       break;
-    }
     case AsCatalog::ChangeKind::kLimitAdjusted: {
       Result<const AccessConstraint*> c = catalog_->schema().Find(name);
       if (!c.ok()) return;
-      ByteSink payload;
       payload.PutString(name);
       payload.PutU64((*c)->limit_n);
-      logged = LogMeta(WalRecordType::kAdjustLimit, payload.Take());
+      type = WalRecordType::kAdjustLimit;
       break;
     }
-    case AsCatalog::ChangeKind::kDictRebuilt: {
-      ByteSink payload;
+    case AsCatalog::ChangeKind::kDictRebuilt:
       payload.PutString(table);
-      logged = LogMeta(WalRecordType::kDictRebuild, payload.Take());
       break;
-    }
   }
-  if (!logged.ok()) meta_log_failed_.store(true, std::memory_order_release);
+  LogMeta(type, payload.Take());
 }
 
 // ---------------------------------------------------------------------------
@@ -615,76 +600,52 @@ Status DurabilityManager::Checkpoint() {
   return CheckpointLocked();
 }
 
-Status DurabilityManager::MaybeCheckpointLocked(bool* did_out) {
-  if (did_out != nullptr) *did_out = false;
+Status DurabilityManager::MaybeCheckpointLocked() {
   if (!opened_) return Status::OK();
   if (wal_bytes_since_checkpoint_.load(std::memory_order_relaxed) <
       options_.checkpoint_min_wal_bytes) {
     return Status::OK();
   }
-  if (did_out != nullptr) *did_out = true;
   return CheckpointLocked();
 }
 
 Status DurabilityManager::WriteCheckpointSegments(
     const std::string& seg_dir, ByteSink* manifest,
-    std::vector<SegmentRecord>* segments,
-    std::map<std::string, TableBaseline>* tables_out,
-    std::map<std::string, uint32_t>* indexes_out) {
+    std::vector<SegmentRecord>* segments) {
   // Every segment write shares the ckpt_write fail-point site so the
   // error sweep (including the error(enospc) disk-full simulation) can
   // fault any file of the set.
-  auto write_segment = [&](SegmentRecord rec, std::string payload,
-                           uint32_t* crc_out) -> Status {
+  auto write_segment = [&](SegmentKind kind, const std::string& name,
+                           size_t shard, const std::string& payload) {
     BEAS_RETURN_NOT_OK(fail::Point("ckpt_write"));
-    uint32_t crc = 0;
+    SegmentRecord rec = UnitRecord(seg_dir, kind, name, shard);
     BEAS_RETURN_NOT_OK(
-        WriteSegmentFile(env_, rec.path, rec.kind, payload, &crc));
-    rec.crc = crc;
-    if (crc_out != nullptr) *crc_out = crc;
+        WriteSegmentFile(env_, rec.path, kind, payload, &rec.crc));
+    rec.memory_crc = rec.crc;
     segments->push_back(std::move(rec));
     return Status::OK();
   };
 
   std::vector<std::string> tables;
   for (const std::string& name : db_->catalog()->TableNames()) {
-    if (IsTransientTable(options_, name)) continue;
+    if (EqualsIgnoreCase(name, kStatsTableName)) continue;
     tables.push_back(name);
   }
   manifest->PutU32(static_cast<uint32_t>(tables.size()));
   for (const std::string& name : tables) {
     BEAS_ASSIGN_OR_RETURN(TableInfo * info, db_->catalog()->GetTable(name));
     manifest->PutString(info->name());
-    const std::string base = seg_dir + "/t_" + info->name();
-    SegmentRecord meta_rec;
-    meta_rec.path = base + ".meta.seg";
-    meta_rec.kind = SegmentKind::kTableMeta;
-    meta_rec.table = info->name();
-    BEAS_RETURN_NOT_OK(write_segment(std::move(meta_rec),
-                                     BuildTableMetaPayload(*info), nullptr));
+    BEAS_RETURN_NOT_OK(write_segment(SegmentKind::kTableMeta, info->name(), 0,
+                                     BuildTableMetaPayload(*info)));
     const TableHeap& heap = *info->heap();
-    TableBaseline baseline;
     if (heap.dict() != nullptr) {
-      SegmentRecord rec;
-      rec.path = base + ".dict.seg";
-      rec.kind = SegmentKind::kDict;
-      rec.table = info->name();
-      baseline.has_dict = true;
-      BEAS_RETURN_NOT_OK(write_segment(
-          std::move(rec), BuildDictPayload(*heap.dict()), &baseline.dict_crc));
+      BEAS_RETURN_NOT_OK(write_segment(SegmentKind::kDict, info->name(), 0,
+                                       BuildDictPayload(*heap.dict())));
     }
-    baseline.shard_crcs.resize(heap.num_shards(), 0);
     for (size_t s = 0; s < heap.num_shards(); ++s) {
-      SegmentRecord rec;
-      rec.path = base + ".s" + std::to_string(s) + ".seg";
-      rec.kind = SegmentKind::kShardRows;
-      rec.table = info->name();
-      rec.shard = s;
-      BEAS_RETURN_NOT_OK(write_segment(std::move(rec),
-                                       BuildShardRowsPayload(heap, s),
-                                       &baseline.shard_crcs[s]));
+      BEAS_RETURN_NOT_OK(write_segment(SegmentKind::kShardRows, info->name(),
+                                       s, BuildShardRowsPayload(heap, s)));
     }
-    (*tables_out)[info->name()] = std::move(baseline);
   }
 
   // Constraints in registration order: restore re-adopts them in the same
@@ -698,23 +659,15 @@ Status DurabilityManager::WriteCheckpointSegments(
     if (index == nullptr) {
       return Status::Internal("no index for constraint '" + c.name + "'");
     }
-    SegmentRecord rec;
-    rec.path = seg_dir + "/c_" + c.name + ".idx.seg";
-    rec.kind = SegmentKind::kIndex;
-    rec.constraint = c.name;
-    BEAS_RETURN_NOT_OK(write_segment(std::move(rec), BuildIndexPayload(*index),
-                                     &(*indexes_out)[c.name]));
+    BEAS_RETURN_NOT_OK(write_segment(SegmentKind::kIndex, c.name, 0,
+                                     BuildIndexPayload(*index)));
   }
 
   // CKMETA: a copy of the manifest payload inside the directory itself,
   // making ck<N> self-describing — recovery can fall back to it when a
   // newer checkpoint's segments fail verification.
-  {
-    SegmentRecord rec;
-    rec.path = seg_dir + "/" + kCkMetaName;
-    rec.kind = SegmentKind::kManifest;
-    BEAS_RETURN_NOT_OK(write_segment(std::move(rec), manifest->str(), nullptr));
-  }
+  BEAS_RETURN_NOT_OK(
+      write_segment(SegmentKind::kManifest, "", 0, manifest->str()));
 
   BEAS_RETURN_NOT_OK(env_->SyncDir(seg_dir));
   // ck<N>'s own entry in seg/ must be durable before the manifest can
@@ -746,48 +699,36 @@ Status DurabilityManager::RotateWals() {
     }
     BEAS_RETURN_NOT_OK(env_->SyncDir(WalDir()));
     BEAS_RETURN_NOT_OK(env_->SyncDir(WalPrevDir()));
-    // Fresh epoch.
-    for (size_t k = 0; k < wal_shard_count_; ++k) {
-      BEAS_RETURN_NOT_OK(InitWalFile(env_, WalPath(k)));
-      BEAS_ASSIGN_OR_RETURN(shard_wals_[k]->file,
-                            env_->NewWritableFile(WalPath(k)));
-    }
-    BEAS_RETURN_NOT_OK(InitWalFile(env_, MetaWalPath()));
-    std::lock_guard<std::mutex> lk(meta_mutex_);
-    BEAS_ASSIGN_OR_RETURN(meta_wal_, env_->NewWritableFile(MetaWalPath()));
-    return Status::OK();
+    return OpenWals(/*latch_failures=*/false);  // the fresh epoch
   };
   Status st = rotate();
-  if (st.ok()) return st;
   // A handle that could not be reopened must not dangle null under the
   // drainers: reopen best-effort, latch what stays closed.
+  if (!st.ok()) (void)OpenWals(/*latch_failures=*/true);
+  return st;
+}
+
+Status DurabilityManager::OpenWals(bool latch_failures) {
   for (size_t k = 0; k < shard_wals_.size(); ++k) {
     if (shard_wals_[k]->file != nullptr) continue;
-    Status reopen = InitWalFile(env_, WalPath(k));
-    if (reopen.ok()) {
-      Result<std::unique_ptr<WritableFile>> f =
-          env_->NewWritableFile(WalPath(k));
-      if (f.ok()) shard_wals_[k]->file = std::move(*f);
-    }
-    if (shard_wals_[k]->file == nullptr) {
+    Result<std::unique_ptr<WritableFile>> f = OpenWalFile(env_, WalPath(k));
+    if (f.ok()) {
+      shard_wals_[k]->file = std::move(*f);
+    } else if (latch_failures) {
       shard_wals_[k]->io_failed.store(true, std::memory_order_release);
+    } else {
+      return f.status();
     }
   }
-  {
-    std::lock_guard<std::mutex> lk(meta_mutex_);
-    if (meta_wal_ == nullptr) {
-      Status reopen = InitWalFile(env_, MetaWalPath());
-      if (reopen.ok()) {
-        Result<std::unique_ptr<WritableFile>> f =
-            env_->NewWritableFile(MetaWalPath());
-        if (f.ok()) meta_wal_ = std::move(*f);
-      }
-      if (meta_wal_ == nullptr) {
-        meta_log_failed_.store(true, std::memory_order_release);
-      }
-    }
+  std::lock_guard<std::mutex> lk(meta_mutex_);
+  if (meta_wal_ != nullptr) return Status::OK();
+  Result<std::unique_ptr<WritableFile>> f = OpenWalFile(env_, MetaWalPath());
+  if (!f.ok()) {
+    if (latch_failures) meta_log_failed_.store(true, std::memory_order_release);
+    return f.status();
   }
-  return st;
+  meta_wal_ = std::move(*f);
+  return Status::OK();
 }
 
 void DurabilityManager::GcCheckpointDirs(uint64_t keep_id) {
@@ -817,10 +758,7 @@ Status DurabilityManager::CheckpointLocked() {
   manifest.PutU64(next_lsn_.load(std::memory_order_relaxed));
 
   std::vector<SegmentRecord> segments;
-  std::map<std::string, TableBaseline> table_baselines;
-  std::map<std::string, uint32_t> index_baselines;
-  Status wrote = WriteCheckpointSegments(seg_dir, &manifest, &segments,
-                                         &table_baselines, &index_baselines);
+  Status wrote = WriteCheckpointSegments(seg_dir, &manifest, &segments);
 
   // Verify-then-commit: read every written segment back through the Env
   // and check its CRC against the write-time value. A bad read-back means
@@ -829,17 +767,8 @@ Status DurabilityManager::CheckpointLocked() {
   if (wrote.ok()) {
     Status verified = Status::OK();
     for (const SegmentRecord& rec : segments) {
-      uint32_t crc = 0;
-      Result<SegmentKind> kind = VerifySegmentFile(env_, rec.path, &crc);
-      if (!kind.ok()) {
-        verified = kind.status();
-        break;
-      }
-      if (*kind != rec.kind || crc != rec.crc) {
-        verified =
-            Status::Corruption("checkpoint read-back mismatch: " + rec.path);
-        break;
-      }
+      verified = VerifySegment(rec);
+      if (!verified.ok()) break;
     }
     wrote = MergePoint(std::move(verified), "ckpt_verify");
   }
@@ -864,15 +793,9 @@ Status DurabilityManager::CheckpointLocked() {
   // flips recovery from the old checkpoint + long WAL to the new one.
   {
     const std::string payload = manifest.Take();
-    ByteSink file;
-    file.PutU32(kSegMagic);
-    file.PutU32(kSegVersion);
-    file.PutU8(static_cast<uint8_t>(SegmentKind::kManifest));
-    file.PutU32(Crc32c(payload.data(), payload.size()));
-    file.PutU64(payload.size());
-    file.PutRaw(payload.data(), payload.size());
-    BEAS_RETURN_NOT_OK(
-        env_->WriteFileAtomic(options_.dir + "/" + kManifestName, file.str()));
+    BEAS_RETURN_NOT_OK(env_->WriteFileAtomic(
+        options_.dir + "/" + kManifestName,
+        EncodeSegmentHeader(SegmentKind::kManifest, payload) + payload));
   }
 
   // Rotate the WALs instead of truncating: the outgoing epoch (records
@@ -891,8 +814,6 @@ Status DurabilityManager::CheckpointLocked() {
   wal_bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   checkpoints_total_.fetch_add(1, std::memory_order_relaxed);
   current_segments_ = std::move(segments);
-  table_baselines_ = std::move(table_baselines);
-  index_baselines_ = std::move(index_baselines);
   {
     // The scrubber's memory baselines are valid from this instant.
     std::lock_guard<std::mutex> lk(dirty_mutex_);
@@ -911,10 +832,10 @@ Status DurabilityManager::CheckpointLocked() {
 
 Status DurabilityManager::RestoreTable(const std::string& seg_dir,
                                        const std::string& table) {
-  const std::string base = seg_dir + "/t_" + table;
   BEAS_ASSIGN_OR_RETURN(
       SegmentView meta_view,
-      OpenSegment(env_, base + ".meta.seg", SegmentKind::kTableMeta));
+      OpenSegment(env_, SegmentPath(seg_dir, SegmentKind::kTableMeta, table),
+                  SegmentKind::kTableMeta));
   BEAS_ASSIGN_OR_RETURN(TableMetaRestore meta,
                         ParseTableMetaPayload(meta_view.reader()));
   // Callers (Recover's restore section, scrub repair) hold the structural
@@ -925,7 +846,8 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
   if (meta.dict_enabled) {
     BEAS_ASSIGN_OR_RETURN(
         SegmentView dict_view,
-        OpenSegment(env_, base + ".dict.seg", SegmentKind::kDict));
+        OpenSegment(env_, SegmentPath(seg_dir, SegmentKind::kDict, table),
+                    SegmentKind::kDict));
     BEAS_ASSIGN_OR_RETURN(DictRestore dict,
                           ParseDictPayload(dict_view.reader()));
     BEAS_RETURN_NOT_OK(heap->RestoreDict(std::move(dict.strings), dict.sorted,
@@ -938,7 +860,8 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
   for (uint32_t s = 0; s < meta.num_shards; ++s) {
     BEAS_ASSIGN_OR_RETURN(
         SegmentView view,
-        OpenSegment(env_, base + ".s" + std::to_string(s) + ".seg",
+        OpenSegment(env_,
+                    SegmentPath(seg_dir, SegmentKind::kShardRows, table, s),
                     SegmentKind::kShardRows));
     BEAS_ASSIGN_OR_RETURN(ShardRowsRestore restore,
                           ParseShardRowsPayload(view.reader()));
@@ -956,7 +879,7 @@ Status DurabilityManager::RestoreIndex(const std::string& seg_dir,
                                        const std::string& name) {
   BEAS_ASSIGN_OR_RETURN(
       SegmentView view,
-      OpenSegment(env_, seg_dir + "/c_" + name + ".idx.seg",
+      OpenSegment(env_, SegmentPath(seg_dir, SegmentKind::kIndex, name),
                   SegmentKind::kIndex));
   BEAS_ASSIGN_OR_RETURN(IndexRestore restore, ParseIndexPayload(view.reader()));
   BEAS_ASSIGN_OR_RETURN(TableInfo * info,
@@ -985,93 +908,122 @@ Result<DurabilityManager::CheckpointMeta> DurabilityManager::LoadCheckpointMeta(
   CheckpointMeta meta;
   meta.id = r.GetU64();
   meta.replay_from = r.GetU64();
-  uint32_t num_tables = r.GetU32();
-  if (!r.ok() || num_tables > r.remaining()) {
+  auto read_names = [&r](std::vector<std::string>* names) {
+    uint32_t count = r.GetU32();
+    if (!r.ok() || count > r.remaining()) return false;
+    names->reserve(count);
+    for (uint32_t i = 0; i < count; ++i) names->push_back(r.GetString());
+    return true;
+  };
+  if (!read_names(&meta.tables) || !read_names(&meta.constraints) ||
+      !r.ok()) {
     return Status::Corruption("truncated manifest: " + path);
   }
-  meta.tables.reserve(num_tables);
-  for (uint32_t i = 0; i < num_tables; ++i) meta.tables.push_back(r.GetString());
-  uint32_t num_constraints = r.GetU32();
-  if (!r.ok() || num_constraints > r.remaining()) {
-    return Status::Corruption("truncated manifest: " + path);
-  }
-  meta.constraints.reserve(num_constraints);
-  for (uint32_t i = 0; i < num_constraints; ++i) {
-    meta.constraints.push_back(r.GetString());
-  }
-  if (!r.ok()) return Status::Corruption("truncated manifest: " + path);
   return meta;
 }
 
 Status DurabilityManager::VerifyCheckpoint(
     const std::string& seg_dir, const CheckpointMeta& meta,
-    std::vector<SegmentRecord>* segments,
-    std::map<std::string, TableBaseline>* tables_out,
-    std::map<std::string, uint32_t>* indexes_out) {
-  auto note = [&](std::string path, SegmentKind kind, uint32_t crc,
-                  std::string table, size_t shard, std::string constraint) {
-    if (segments == nullptr) return;
-    SegmentRecord rec;
-    rec.path = std::move(path);
-    rec.kind = kind;
-    rec.crc = crc;
-    rec.table = std::move(table);
-    rec.shard = shard;
-    rec.constraint = std::move(constraint);
+    std::vector<SegmentRecord>* segments) {
+  auto verify = [&](SegmentKind kind, const std::string& name,
+                    size_t shard) -> Result<SegmentView> {
+    SegmentRecord rec = UnitRecord(seg_dir, kind, name, shard);
+    BEAS_ASSIGN_OR_RETURN(SegmentView view, OpenSegment(env_, rec.path, kind));
+    rec.crc = view.crc;
+    rec.memory_crc = view.crc;  // see RebaseRestoredIndexes
     segments->push_back(std::move(rec));
-  };
-  auto check = [&](const std::string& path, SegmentKind want,
-                   uint32_t* crc_out) -> Status {
-    BEAS_ASSIGN_OR_RETURN(SegmentKind kind,
-                          VerifySegmentFile(env_, path, crc_out));
-    if (kind != want) {
-      return Status::Corruption("segment kind mismatch: " + path);
-    }
-    return Status::OK();
+    return view;
   };
   for (const std::string& table : meta.tables) {
-    const std::string base = seg_dir + "/t_" + table;
     // The table meta segment is parsed (not just CRC'd): the shard count
     // and dict flag decide which further files the checkpoint must hold.
-    BEAS_ASSIGN_OR_RETURN(
-        SegmentView view,
-        OpenSegment(env_, base + ".meta.seg", SegmentKind::kTableMeta));
-    note(base + ".meta.seg", SegmentKind::kTableMeta,
-         Crc32c(view.payload, view.payload_len), table, 0, "");
+    BEAS_ASSIGN_OR_RETURN(SegmentView view,
+                          verify(SegmentKind::kTableMeta, table, 0));
     BEAS_ASSIGN_OR_RETURN(TableMetaRestore tm,
                           ParseTableMetaPayload(view.reader()));
-    TableBaseline baseline;
     if (tm.dict_enabled) {
-      uint32_t crc = 0;
-      BEAS_RETURN_NOT_OK(check(base + ".dict.seg", SegmentKind::kDict, &crc));
-      baseline.has_dict = true;
-      baseline.dict_crc = crc;
-      note(base + ".dict.seg", SegmentKind::kDict, crc, table, 0, "");
+      BEAS_RETURN_NOT_OK(verify(SegmentKind::kDict, table, 0).status());
     }
-    baseline.shard_crcs.resize(tm.num_shards, 0);
     for (uint32_t s = 0; s < tm.num_shards; ++s) {
-      const std::string path = base + ".s" + std::to_string(s) + ".seg";
-      BEAS_RETURN_NOT_OK(
-          check(path, SegmentKind::kShardRows, &baseline.shard_crcs[s]));
-      note(path, SegmentKind::kShardRows, baseline.shard_crcs[s], table, s,
-           "");
+      BEAS_RETURN_NOT_OK(verify(SegmentKind::kShardRows, table, s).status());
     }
-    if (tables_out != nullptr) (*tables_out)[table] = std::move(baseline);
   }
   for (const std::string& name : meta.constraints) {
-    const std::string path = seg_dir + "/c_" + name + ".idx.seg";
-    uint32_t crc = 0;
-    BEAS_RETURN_NOT_OK(check(path, SegmentKind::kIndex, &crc));
-    if (indexes_out != nullptr) (*indexes_out)[name] = crc;
-    note(path, SegmentKind::kIndex, crc, "", 0, name);
+    BEAS_RETURN_NOT_OK(verify(SegmentKind::kIndex, name, 0).status());
   }
-  const std::string ckmeta = seg_dir + "/" + kCkMetaName;
-  if (env_->FileExists(ckmeta)) {
-    uint32_t crc = 0;
-    BEAS_RETURN_NOT_OK(check(ckmeta, SegmentKind::kManifest, &crc));
-    note(ckmeta, SegmentKind::kManifest, crc, "", 0, "");
+  if (env_->FileExists(SegmentPath(seg_dir, SegmentKind::kManifest, ""))) {
+    BEAS_RETURN_NOT_OK(verify(SegmentKind::kManifest, "", 0).status());
   }
   return Status::OK();
+}
+
+DurabilityManager::SegmentRecord DurabilityManager::UnitRecord(
+    const std::string& seg_dir, SegmentKind kind, const std::string& name,
+    size_t shard) {
+  SegmentRecord rec;
+  rec.path = SegmentPath(seg_dir, kind, name, shard);
+  rec.kind = kind;
+  (kind == SegmentKind::kIndex ? rec.constraint : rec.table) = name;
+  rec.shard = shard;
+  return rec;
+}
+
+Status DurabilityManager::VerifySegment(const SegmentRecord& rec) const {
+  uint32_t crc = 0;
+  BEAS_ASSIGN_OR_RETURN(SegmentKind kind,
+                        VerifySegmentFile(env_, rec.path, &crc));
+  if (kind != rec.kind || crc != rec.crc) {
+    return Status::Corruption("checkpoint read-back mismatch: " + rec.path);
+  }
+  return Status::OK();
+}
+
+void DurabilityManager::RebaseRestoredIndexes(const std::string& table) {
+  std::set<std::string> dirty;
+  {
+    std::lock_guard<std::mutex> lk(dirty_mutex_);
+    if (structural_dirty_) return;
+    dirty = dirty_tables_;
+  }
+  for (SegmentRecord& rec : current_segments_) {
+    if (rec.kind != SegmentKind::kIndex) continue;
+    Result<const AccessConstraint*> c = catalog_->schema().Find(rec.constraint);
+    const AcIndex* index = catalog_->IndexFor(rec.constraint);
+    if (!c.ok() || index == nullptr || dirty.count(ToLower((*c)->table)) != 0 ||
+        (!table.empty() && !EqualsIgnoreCase((*c)->table, table))) {
+      continue;
+    }
+    const std::string payload = BuildIndexPayload(*index);
+    rec.memory_crc = Crc32c(payload.data(), payload.size());
+  }
+}
+
+bool DurabilityManager::MemoryMatches(const SegmentRecord& rec) const {
+  std::string payload;
+  if (rec.kind == SegmentKind::kIndex) {
+    const AcIndex* index = catalog_->IndexFor(rec.constraint);
+    if (index == nullptr) return true;
+    payload = BuildIndexPayload(*index);
+  } else {
+    Result<TableInfo*> info = db_->catalog()->GetTable(rec.table);
+    if (rec.kind == SegmentKind::kManifest || !info.ok()) return true;
+    const TableHeap& heap = *(*info)->heap();
+    if (rec.kind == SegmentKind::kTableMeta) {
+      size_t shards = 0;
+      for (const SegmentRecord& r : current_segments_) {
+        shards += r.kind == SegmentKind::kShardRows && r.table == rec.table;
+      }
+      return heap.num_shards() == shards;
+    }
+    if (rec.kind == SegmentKind::kDict) {
+      if (heap.dict() == nullptr) return true;
+      payload = BuildDictPayload(*heap.dict());
+    } else {
+      if (rec.shard >= heap.num_shards()) return false;
+      payload = BuildShardRowsPayload(heap, rec.shard);
+    }
+  }
+  return Crc32c(payload.data(), payload.size()) == rec.memory_crc;
 }
 
 Status DurabilityManager::Recover() {
@@ -1084,7 +1036,6 @@ Status DurabilityManager::Recover() {
   // otherwise forget whole directories of acked state.
   BEAS_RETURN_NOT_OK(env_->SyncParentDir(options_.dir));
   BEAS_RETURN_NOT_OK(env_->SyncDir(options_.dir));
-  replaying_ = true;
 
   // Candidate checkpoints, best first: the manifest's, then every
   // self-describing ck directory (CKMETA present) in descending id order.
@@ -1095,37 +1046,29 @@ Status DurabilityManager::Recover() {
   const std::string manifest_path = options_.dir + "/" + kManifestName;
   const bool manifest_present = env_->FileExists(manifest_path);
   if (manifest_present) candidates.push_back(manifest_path);
-  {
-    std::vector<uint64_t> ck_ids;
-    if (Result<std::vector<std::string>> entries =
-            env_->ListDir(options_.dir + "/seg");
-        entries.ok()) {
-      for (const std::string& entry : *entries) {
-        uint64_t id = ParseCkDirName(entry);
-        if (id != 0) ck_ids.push_back(id);
-      }
-    }
-    std::sort(ck_ids.rbegin(), ck_ids.rend());
-    for (uint64_t id : ck_ids) {
-      const std::string ckmeta = SegDir(id) + "/" + kCkMetaName;
-      if (env_->FileExists(ckmeta)) candidates.push_back(ckmeta);
+  std::vector<uint64_t> ck_ids;
+  if (Result<std::vector<std::string>> entries =
+          env_->ListDir(options_.dir + "/seg");
+      entries.ok()) {
+    for (const std::string& entry : *entries) {
+      uint64_t id = ParseCkDirName(entry);
+      if (id != 0) ck_ids.push_back(id);
     }
   }
+  std::sort(ck_ids.rbegin(), ck_ids.rend());
+  for (uint64_t id : ck_ids) {
+    std::string ckmeta = SegmentPath(SegDir(id), SegmentKind::kManifest, "");
+    if (env_->FileExists(ckmeta)) candidates.push_back(std::move(ckmeta));
+  }
 
-  bool restored = false;
-  CheckpointMeta chosen;
+  uint64_t replay_from = 0;  // first LSN not captured by the checkpoint
   Status first_fail = Status::OK();
   for (const std::string& path : candidates) {
     Result<CheckpointMeta> meta = LoadCheckpointMeta(path);
-    if (!meta.ok()) {
-      if (first_fail.ok()) first_fail = meta.status();
-      continue;
-    }
     std::vector<SegmentRecord> segments;
-    std::map<std::string, TableBaseline> table_baselines;
-    std::map<std::string, uint32_t> index_baselines;
-    Status verified = VerifyCheckpoint(SegDir(meta->id), *meta, &segments,
-                                       &table_baselines, &index_baselines);
+    Status verified = meta.ok()
+                          ? VerifyCheckpoint(SegDir(meta->id), *meta, &segments)
+                          : meta.status();
     if (!verified.ok()) {
       if (first_fail.ok()) first_fail = verified;
       continue;
@@ -1136,26 +1079,16 @@ Status DurabilityManager::Recover() {
     // lock held exclusively (shared invariant with the scrub repair
     // path); nothing else runs at Open time, but the scope keeps the
     // contract uniform.
+    current_segments_ = std::move(segments);
     Database::StructuralScope restore_lock(db_);
     for (const std::string& table : meta->tables) {
-      Status st = RestoreTable(SegDir(meta->id), table);
-      if (!st.ok()) {
-        replaying_ = false;
-        return st;
-      }
+      BEAS_RETURN_NOT_OK(RestoreTable(SegDir(meta->id), table));
     }
     for (const std::string& name : meta->constraints) {
-      Status st = RestoreIndex(SegDir(meta->id), name);
-      if (!st.ok()) {
-        replaying_ = false;
-        return st;
-      }
+      BEAS_RETURN_NOT_OK(RestoreIndex(SegDir(meta->id), name));
     }
-    chosen = std::move(*meta);
-    current_segments_ = std::move(segments);
-    table_baselines_ = std::move(table_baselines);
-    index_baselines_ = std::move(index_baselines);
-    restored = true;
+    last_checkpoint_id_ = meta->id;
+    replay_from = meta->replay_from;
     break;
   }
   // Fatal only when a checkpoint provably *committed* (a MANIFEST exists)
@@ -1164,17 +1097,10 @@ Status DurabilityManager::Recover() {
   // no checkpoint ever committed (the commit rename is durable before
   // Checkpoint returns) — stray half-written ck dirs from a crash mid
   // first checkpoint are just reclaimed, and the full WAL replays.
-  if (!restored && manifest_present) {
-    replaying_ = false;
+  if (last_checkpoint_id_ == 0 && manifest_present) {
     return Status::Corruption(
         "no recoverable checkpoint: every candidate failed verification; "
         "first failure: " + first_fail.message());
-  }
-
-  uint64_t replay_from = 0;  // first LSN not captured by the checkpoint
-  if (restored) {
-    last_checkpoint_id_ = chosen.id;
-    replay_from = chosen.replay_from;
   }
 
   // GC checkpoint directories beyond the retained pair (crash between
@@ -1195,14 +1121,21 @@ Status DurabilityManager::Recover() {
       const std::string path = dir + "/" + entry;
       if (env_->IsDirectory(path)) continue;  // skips prev/ under wal/
       Result<WalReadResult> read = ReadWalFile(env_, path);
-      if (!read.ok()) {
+      uint64_t keep = 0;  // bytes of `path` that survive the repair below
+      if (read.ok()) {
+        for (WalRecord& record : read->records) {
+          max_lsn = std::max(max_lsn, record.lsn);
+          if (record.lsn >= replay_from) tail.push_back(std::move(record));
+        }
+        keep = std::max(read->valid_bytes, kWalHeaderBytes);
+      } else {
         // Garbage magic can be a crash image's torn, never-synced header
-        // (a power cut inside InitWalFile's 8-byte append): an acked
+        // (a power cut inside OpenWalFile's 8-byte append): an acked
         // record in this file would imply an fsync that also made the
         // header durable, so an invalid magic proves nothing acked ever
-        // lived here — reset the file to empty, like the short-header
-        // case inside ReadWalFile. A readable BWAL magic with a foreign
-        // version is real foreign data and stays fatal.
+        // lived here — the repair below resets the file to empty, like the
+        // short-header case inside ReadWalFile. A readable BWAL magic with
+        // a foreign version is real foreign data and stays fatal.
         bool bwal_magic = false;
         if (Result<std::unique_ptr<RandomAccessFile>> view =
                 env_->NewRandomAccessFile(path);
@@ -1210,30 +1143,15 @@ Status DurabilityManager::Recover() {
           ByteReader r((*view)->data(), 4);
           bwal_magic = r.GetU32() == kWalMagic;
         }
-        if (bwal_magic) {
-          replaying_ = false;
-          return read.status();
-        }
-        if (Result<std::unique_ptr<WritableFile>> repair =
-                env_->NewWritableFile(path);
-            repair.ok()) {
-          (void)(*repair)->Truncate(0);
-          (void)(*repair)->Sync();
-        }
-        continue;
-      }
-      for (WalRecord& record : read->records) {
-        max_lsn = std::max(max_lsn, record.lsn);
-        if (record.lsn >= replay_from) tail.push_back(std::move(record));
+        if (bwal_magic) return read.status();
       }
       // Torn-tail repair: drop the invalid suffix a kill mid-append left,
       // so post-recovery appends extend a clean prefix.
       if (Result<std::unique_ptr<WritableFile>> repair =
               env_->NewWritableFile(path);
           repair.ok()) {
-        uint64_t keep = std::max(read->valid_bytes, kWalHeaderBytes);
         if ((*repair)->size() < kWalHeaderBytes) {
-          (void)(*repair)->Truncate(0);  // InitWalFile re-headers it
+          (void)(*repair)->Truncate(0);  // OpenWalFile re-headers it
         } else if ((*repair)->size() > keep) {
           (void)(*repair)->Truncate(keep);
           (void)(*repair)->Sync();
@@ -1251,7 +1169,7 @@ Status DurabilityManager::Recover() {
     recovery_replayed_records_.fetch_add(1, std::memory_order_relaxed);
   }
   next_lsn_.store(max_lsn + 1, std::memory_order_relaxed);
-  replaying_ = false;
+  RebaseRestoredIndexes("");
   return Status::OK();
 }
 
@@ -1269,47 +1187,27 @@ Status DurabilityManager::ReloadTableFromCheckpoint(const std::string& table) {
   }
   replaying_ = true;  // suppress the logging hooks: this is a reload, not
                       // new history
-  auto finish = [&](Status st) {
-    replaying_ = false;
-    return st;
-  };
-  for (const std::string& name : names) {
-    BEAS_RETURN_NOT_OK(finish(catalog_->Unregister(name)));
-    replaying_ = true;
-  }
-  BEAS_RETURN_NOT_OK(finish(db_->catalog()->DropTable(table)));
-  replaying_ = true;
-  BEAS_RETURN_NOT_OK(finish(RestoreTable(seg_dir, table)));
-  replaying_ = true;
-  for (const std::string& name : names) {
-    BEAS_RETURN_NOT_OK(finish(RestoreIndex(seg_dir, name)));
-    replaying_ = true;
-  }
+  Status reloaded = [&]() -> Status {
+    for (const std::string& name : names) {
+      BEAS_RETURN_NOT_OK(catalog_->Unregister(name));
+    }
+    BEAS_RETURN_NOT_OK(db_->catalog()->DropTable(table));
+    BEAS_RETURN_NOT_OK(RestoreTable(seg_dir, table));
+    for (const std::string& name : names) {
+      BEAS_RETURN_NOT_OK(RestoreIndex(seg_dir, name));
+    }
+    return Status::OK();
+  }();
   replaying_ = false;
+  BEAS_RETURN_NOT_OK(reloaded);
+  RebaseRestoredIndexes(table);
 
-  // Confirm the reload actually matches the checkpoint fingerprints.
-  auto it = table_baselines_.find(table);
-  if (it != table_baselines_.end()) {
-    BEAS_ASSIGN_OR_RETURN(TableInfo * info, db_->catalog()->GetTable(table));
-    const TableHeap& heap = *info->heap();
-    if (heap.num_shards() != it->second.shard_crcs.size()) {
-      return Status::Corruption("scrub repair: shard count mismatch after "
-                                "reloading '" + table + "'");
-    }
-    for (size_t s = 0; s < heap.num_shards(); ++s) {
-      std::string payload = BuildShardRowsPayload(heap, s);
-      if (Crc32c(payload.data(), payload.size()) != it->second.shard_crcs[s]) {
-        return Status::Corruption("scrub repair: shard " + std::to_string(s) +
-                                  " of '" + table +
-                                  "' still mismatches after reload");
-      }
-    }
-    if (it->second.has_dict && heap.dict() != nullptr) {
-      std::string payload = BuildDictPayload(*heap.dict());
-      if (Crc32c(payload.data(), payload.size()) != it->second.dict_crc) {
-        return Status::Corruption("scrub repair: dict of '" + table +
-                                  "' still mismatches after reload");
-      }
+  // Confirm the reload matches the checkpoint fingerprints: the table's
+  // meta record (its first) checks the shard count, the rest their CRCs.
+  for (const SegmentRecord& rec : current_segments_) {
+    if (rec.table == table && !MemoryMatches(rec)) {
+      return Status::Corruption("scrub repair: '" + table + "' still "
+                                "mismatches " + rec.path + " after reload");
     }
   }
   return Status::OK();
@@ -1343,84 +1241,71 @@ Status DurabilityManager::ScrubLocked(ScrubReport* report) {
     scrub_corruptions_found_.fetch_add(1, std::memory_order_relaxed);
   };
 
+  // The units a pass found corrupt: heap shards, whole tables (meta, dict
+  // or shard layout), AC indexes, and the CKMETA copy.
+  struct Findings {
+    std::set<std::pair<std::string, size_t>> shards;
+    std::set<std::string> tables;
+    std::set<std::string> indexes;
+    bool ckmeta = false;
+
+    void Add(const SegmentRecord& rec) {
+      switch (rec.kind) {
+        case SegmentKind::kShardRows:
+          shards.insert({rec.table, rec.shard});
+          break;
+        case SegmentKind::kTableMeta:
+        case SegmentKind::kDict:
+          tables.insert(rec.table);
+          break;
+        case SegmentKind::kIndex:
+          indexes.insert(rec.constraint);
+          break;
+        case SegmentKind::kManifest:
+          ckmeta = true;
+          break;
+      }
+    }
+    size_t units() const {
+      return shards.size() + tables.size() + indexes.size() + (ckmeta ? 1 : 0);
+    }
+  };
+  Findings disk;
+  Findings mem;
+
   // ---- Disk pass: re-validate every current-checkpoint segment CRC. ----
-  std::set<std::pair<std::string, size_t>> disk_bad_shards;
-  std::set<std::string> disk_bad_tables;   // meta/dict file rot
-  std::set<std::string> disk_bad_indexes;
-  bool disk_bad_other = false;             // CKMETA rot
   for (const SegmentRecord& rec : current_segments_) {
     report->segments_checked++;
-    uint32_t crc = 0;
-    Result<SegmentKind> kind = VerifySegmentFile(env_, rec.path, &crc);
-    if (kind.ok() && *kind == rec.kind && crc == rec.crc) continue;
+    if (VerifySegment(rec).ok()) continue;
     count_corruption();
-    switch (rec.kind) {
-      case SegmentKind::kShardRows:
-        disk_bad_shards.insert({rec.table, rec.shard});
-        break;
-      case SegmentKind::kTableMeta:
-      case SegmentKind::kDict:
-        disk_bad_tables.insert(rec.table);
-        break;
-      case SegmentKind::kIndex:
-        disk_bad_indexes.insert(rec.constraint);
-        break;
-      case SegmentKind::kManifest:
-        disk_bad_other = true;
-        break;
-    }
-  }
-
-  // ---- Memory pass: cross-check live state against checkpoint-time
-  // fingerprints. Only meaningful for tables untouched since the
-  // checkpoint (a write legitimately changes the bytes). ----
-  std::set<std::pair<std::string, size_t>> mem_bad_shards;
-  std::set<std::string> mem_bad_tables;    // dict / layout divergence
-  std::set<std::string> mem_bad_indexes;
-  if (!structural_dirty) {
-    for (const auto& [table, baseline] : table_baselines_) {
-      if (dirty.count(ToLower(table)) != 0) continue;
-      Result<TableInfo*> info = db_->catalog()->GetTable(table);
-      if (!info.ok()) continue;
-      const TableHeap& heap = *(*info)->heap();
-      if (heap.num_shards() != baseline.shard_crcs.size()) {
-        mem_bad_tables.insert(table);
-        count_corruption();
-        continue;
-      }
-      for (size_t s = 0; s < heap.num_shards(); ++s) {
-        std::string payload = BuildShardRowsPayload(heap, s);
-        if (Crc32c(payload.data(), payload.size()) != baseline.shard_crcs[s]) {
-          mem_bad_shards.insert({table, s});
-          count_corruption();
-        }
-      }
-      if (baseline.has_dict && heap.dict() != nullptr) {
-        std::string payload = BuildDictPayload(*heap.dict());
-        if (Crc32c(payload.data(), payload.size()) != baseline.dict_crc) {
-          mem_bad_tables.insert(table);
-          count_corruption();
-        }
-      }
-    }
-    for (const auto& [name, baseline_crc] : index_baselines_) {
-      Result<const AccessConstraint*> c = catalog_->schema().Find(name);
-      if (!c.ok()) continue;
-      if (dirty.count(ToLower((*c)->table)) != 0) continue;
-      const AcIndex* index = catalog_->IndexFor(name);
-      if (index == nullptr) continue;
-      std::string payload = BuildIndexPayload(*index);
-      if (Crc32c(payload.data(), payload.size()) != baseline_crc) {
-        mem_bad_indexes.insert(name);
-        count_corruption();
-      }
-    }
+    disk.Add(rec);
   }
 
   auto table_of_constraint = [&](const std::string& name) -> std::string {
     Result<const AccessConstraint*> c = catalog_->schema().Find(name);
     return c.ok() ? (*c)->table : std::string();
   };
+
+  // ---- Memory pass: cross-check live state against checkpoint-time
+  // fingerprints. Only meaningful for tables untouched since the
+  // checkpoint (a write legitimately changes the bytes). ----
+  if (!structural_dirty) {
+    // A table whose shard count diverged skips its per-shard and dict
+    // checks; its meta record precedes them in the list.
+    std::set<std::string> bad_layout;
+    for (const SegmentRecord& rec : current_segments_) {
+      const std::string table = rec.kind == SegmentKind::kIndex
+                                    ? table_of_constraint(rec.constraint)
+                                    : rec.table;
+      if (table.empty() || dirty.count(ToLower(table)) != 0 ||
+          bad_layout.count(rec.table) != 0 || MemoryMatches(rec)) {
+        continue;
+      }
+      count_corruption();
+      mem.Add(rec);
+      if (rec.kind == SegmentKind::kTableMeta) bad_layout.insert(rec.table);
+    }
+  }
 
   // ---- Quarantine every implicated (table, heap shard). ----
   std::set<std::pair<std::string, size_t>> implicated;
@@ -1430,17 +1315,14 @@ Status DurabilityManager::ScrubLocked(ScrubReport* report) {
     size_t n = info.ok() ? (*info)->heap()->num_shards() : 1;
     for (size_t s = 0; s < n; ++s) implicated.insert({ToLower(table), s});
   };
-  for (const auto& p : disk_bad_shards) implicated.insert({ToLower(p.first),
-                                                           p.second});
-  for (const auto& p : mem_bad_shards) implicated.insert({ToLower(p.first),
-                                                          p.second});
-  for (const std::string& t : disk_bad_tables) implicate_all_shards(t);
-  for (const std::string& t : mem_bad_tables) implicate_all_shards(t);
-  for (const std::string& ix : disk_bad_indexes) {
-    implicate_all_shards(table_of_constraint(ix));
-  }
-  for (const std::string& ix : mem_bad_indexes) {
-    implicate_all_shards(table_of_constraint(ix));
+  for (const Findings* found : {&disk, &mem}) {
+    for (const auto& [table, shard] : found->shards) {
+      implicated.insert({ToLower(table), shard});
+    }
+    for (const std::string& t : found->tables) implicate_all_shards(t);
+    for (const std::string& ix : found->indexes) {
+      implicate_all_shards(table_of_constraint(ix));
+    }
   }
   if (!implicated.empty()) {
     std::lock_guard<std::mutex> lk(quarantine_mutex_);
@@ -1453,34 +1335,28 @@ Status DurabilityManager::ScrubLocked(ScrubReport* report) {
   // indexes) from the checkpoint — sound because the memory pass only ran
   // for tables with zero writes since the checkpoint, so the segments ARE
   // the authoritative bytes.
-  std::set<std::string> mem_tables;
-  for (const std::string& t : mem_bad_tables) mem_tables.insert(t);
-  for (const auto& p : mem_bad_shards) mem_tables.insert(p.first);
-  for (const std::string& ix : mem_bad_indexes) {
+  std::set<std::string> mem_tables = mem.tables;
+  for (const auto& p : mem.shards) mem_tables.insert(p.first);
+  for (const std::string& ix : mem.indexes) {
     std::string t = table_of_constraint(ix);
     if (!t.empty()) mem_tables.insert(t);
   }
   bool any_unrepairable = false;
   std::set<std::string> repaired_tables;  // lowercased
   for (const std::string& t : mem_tables) {
-    bool disk_clean = disk_bad_tables.count(t) == 0;
-    for (const auto& p : disk_bad_shards) {
+    bool disk_clean = disk.tables.count(t) == 0;
+    for (const auto& p : disk.shards) {
       if (p.first == t) disk_clean = false;
     }
     for (const AccessConstraint& c : catalog_->schema().constraints()) {
-      if (EqualsIgnoreCase(c.table, t) && disk_bad_indexes.count(c.name) != 0) {
+      if (EqualsIgnoreCase(c.table, t) && disk.indexes.count(c.name) != 0) {
         disk_clean = false;
       }
     }
-    if (!disk_clean) {
-      // Corrupt in memory AND its only durable copy is corrupt too:
-      // nothing trustworthy to restore from. Stays quarantined.
-      any_unrepairable = true;
-      report->unrepairable++;
-      continue;
-    }
-    Status reloaded = ReloadTableFromCheckpoint(t);
-    if (!reloaded.ok()) {
+    // Corrupt in memory AND its only durable copy is corrupt too: nothing
+    // trustworthy to restore from. Stays quarantined (as does a table
+    // whose reload fails).
+    if (!disk_clean || !ReloadTableFromCheckpoint(t).ok()) {
       any_unrepairable = true;
       report->unrepairable++;
       continue;
@@ -1503,12 +1379,9 @@ Status DurabilityManager::ScrubLocked(ScrubReport* report) {
   // which supersedes every rotten segment at once. Skipped while any
   // unrepairable unit exists: checkpointing would persist its corrupt
   // in-memory bytes over the last good (if any) copy.
-  bool disk_any = disk_bad_other || !disk_bad_shards.empty() ||
-                  !disk_bad_tables.empty() || !disk_bad_indexes.empty();
-  if (disk_any && !any_unrepairable) {
+  if (disk.units() != 0 && !any_unrepairable) {
     BEAS_RETURN_NOT_OK(CheckpointLocked());
-    uint64_t fixed = disk_bad_shards.size() + disk_bad_tables.size() +
-                     disk_bad_indexes.size() + (disk_bad_other ? 1 : 0);
+    uint64_t fixed = disk.units();
     report->repairs += fixed;
     scrub_repairs_total_.fetch_add(fixed, std::memory_order_relaxed);
     // Everything verified fresh end-to-end; nothing left to quarantine.
@@ -1537,9 +1410,7 @@ DurabilityCounters DurabilityManager::counters() const {
       recovery_replayed_records_.load(std::memory_order_relaxed);
   out.wal_retries_total = wal_retries_total_.load(std::memory_order_relaxed);
   for (const auto& wal : shard_wals_) {
-    if (wal->io_failed.load(std::memory_order_acquire)) {
-      ++out.wal_latched_shards;
-    }
+    out.wal_latched_shards += wal->io_failed.load(std::memory_order_acquire);
   }
   out.scrub_cycles_total =
       scrub_cycles_total_.load(std::memory_order_relaxed);

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -25,35 +24,19 @@
 namespace beas {
 namespace durability {
 
+/// The one table never logged or checkpointed (case-insensitive): the
+/// service's `beas_stats`, recomputed metadata that it recycles outside
+/// the hooked write path, so persisting it would replay stale gauges.
+constexpr const char* kStatsTableName = "beas_stats";
+
 /// \brief Durability tuning knobs (see README "Durability").
 struct DurabilityOptions {
   /// Data directory. Empty disables durability entirely.
   std::string dir;
 
-  /// fsync on every group commit (and every meta-WAL record). Turning
-  /// this off trades the machine-crash guarantee for process-crash-only
-  /// durability (the page cache still survives a kill).
-  bool fsync = true;
-
   /// MaybeCheckpoint fires once this many WAL bytes accumulated since
   /// the last checkpoint.
   uint64_t checkpoint_min_wal_bytes = 1ull << 22;
-
-  /// Tables excluded from logging and checkpoints (case-insensitive).
-  /// The service puts `beas_stats` here: it is recomputed metadata that
-  /// the service recycles with direct heap writes outside the hooked
-  /// write path, so persisting it would only replay stale gauges.
-  std::vector<std::string> transient_tables;
-
-  /// Transient-fault tolerance: a failed WAL group commit is repaired
-  /// (truncate back to the acked prefix) and re-attempted up to this many
-  /// times before the shard latches. 0 = latch on the first failure.
-  uint64_t wal_retry_limit = 3;
-
-  /// Backoff before the first retry, doubling per attempt (capped at
-  /// 100ms). Writers in the group wait through it — under a transient
-  /// fault, a slow ack beats a spurious nack.
-  uint64_t wal_retry_backoff_ms = 1;
 
   /// The I/O environment all durability reads and writes go through.
   /// nullptr selects Env::Default() (the posix filesystem); tests inject
@@ -245,8 +228,8 @@ class DurabilityManager {
   /// Checkpoint iff the WAL grew past checkpoint_min_wal_bytes since the
   /// last one. Caller holds a StructuralGate AND the database structural
   /// lock exclusively (the maintenance checkpoint hook's calling
-  /// convention). `did_out` (optional) reports whether one ran.
-  Status MaybeCheckpointLocked(bool* did_out = nullptr);
+  /// convention).
+  Status MaybeCheckpointLocked();
 
   /// Unconditional checkpoint under the caller's gate + structural lock.
   /// The new segment set is read back and CRC-verified through the Env
@@ -265,9 +248,6 @@ class DurabilityManager {
   /// Scrub under the caller's gate + structural lock (the maintenance
   /// scrub hook's calling convention).
   Status ScrubLocked(ScrubReport* report = nullptr);
-
-  /// True if scrub quarantined heap shard `shard` of `table`.
-  bool IsShardQuarantined(const std::string& table, size_t shard) const;
 
   DurabilityCounters counters() const;
 
@@ -302,21 +282,19 @@ class DurabilityManager {
     std::condition_variable applied_cv;
   };
 
-  /// One file of the current checkpoint, as the scrubber sweeps it.
+  /// One file of a checkpoint. The current checkpoint's list of these is
+  /// its only description: the read-back set, the scrubber's disk sweep
+  /// and its in-memory baseline.
   struct SegmentRecord {
     std::string path;
     SegmentKind kind = SegmentKind::kManifest;
     uint32_t crc = 0;            ///< payload CRC recorded at write time
+    /// The in-memory unit's payload CRC when the baseline was taken: `crc`,
+    /// except for an index restored from disk (see RebaseRestoredIndexes).
+    uint32_t memory_crc = 0;
     std::string table;           ///< kTableMeta / kDict / kShardRows
     size_t shard = 0;            ///< kShardRows
     std::string constraint;      ///< kIndex
-  };
-
-  /// Checkpoint-time fingerprints of one table's in-memory state.
-  struct TableBaseline {
-    std::vector<uint32_t> shard_crcs;  ///< CRC of BuildShardRowsPayload
-    bool has_dict = false;
-    uint32_t dict_crc = 0;
   };
 
   /// A parsed manifest / CKMETA payload.
@@ -345,15 +323,20 @@ class DurabilityManager {
   /// drainers (data records) and by recovery replay (all records).
   Status ApplyRecord(const WalRecord& record);
 
-  /// Stamps an LSN and synchronously appends+fsyncs to the meta WAL.
-  /// Called from the structural-logging hooks (commit gate held
-  /// exclusively by the structural section that triggered them).
-  Status LogMeta(WalRecordType type, std::string payload);
+  /// Stamps an LSN and synchronously appends+fsyncs to the meta WAL;
+  /// latches meta_log_failed_ when that fails. Called from the
+  /// structural-logging hooks (commit gate held exclusively by the
+  /// structural section that triggered them).
+  void LogMeta(WalRecordType type, std::string payload);
 
   /// Hook bodies (registered on `db_`/`catalog_` by Open()).
   void OnDdl(const std::string& table);
   void OnCatalogChange(AsCatalog::ChangeKind kind, const std::string& table,
                        const std::string& name);
+
+  /// open_status_ if Open failed; kUnavailable once a structural change
+  /// could not be logged (the in-memory state is ahead of the WAL).
+  Status CheckWritable() const;
 
   /// kUnavailable if (table, shard) — or any shard of `table` when
   /// `shard` < 0 — is quarantined.
@@ -361,23 +344,40 @@ class DurabilityManager {
 
   /// Writes checkpoint `id`'s segment files (including the CKMETA
   /// manifest copy) into `seg_dir`, assembles the manifest payload, and
-  /// collects the scrub baseline. The pre-commit half of
-  /// CheckpointLocked, split out so every failure inside funnels through
-  /// one pressure-relief path.
+  /// records each file. The pre-commit half of CheckpointLocked, split
+  /// out so every failure inside funnels through one pressure-relief path.
   Status WriteCheckpointSegments(const std::string& seg_dir,
                                  ByteSink* manifest,
-                                 std::vector<SegmentRecord>* segments,
-                                 std::map<std::string, TableBaseline>* tables,
-                                 std::map<std::string, uint32_t>* indexes);
+                                 std::vector<SegmentRecord>* segments);
 
   /// Reads back and CRC-verifies every segment file `meta` references in
-  /// `seg_dir` through the Env, without touching engine state. Collects
-  /// the scrub baseline (optional outs).
+  /// `seg_dir` through the Env, without touching engine state, and
+  /// records each file.
   Status VerifyCheckpoint(const std::string& seg_dir,
                           const CheckpointMeta& meta,
-                          std::vector<SegmentRecord>* segments,
-                          std::map<std::string, TableBaseline>* tables,
-                          std::map<std::string, uint32_t>* indexes);
+                          std::vector<SegmentRecord>* segments);
+
+  /// The record of one checkpoint unit in `seg_dir`, CRC not yet known:
+  /// `name` is the table, or the constraint for an index.
+  static SegmentRecord UnitRecord(const std::string& seg_dir,
+                                  SegmentKind kind, const std::string& name,
+                                  size_t shard);
+
+  /// Re-reads `rec`'s file through the Env: framing, payload CRC, kind,
+  /// and the payload CRC recorded for it.
+  Status VerifySegment(const SegmentRecord& rec) const;
+
+  /// A restored AC index iterates its buckets in a different order than
+  /// the checkpoint wrote them in, so its memory baseline is re-taken
+  /// from the restored copy: for every index of `table` (of every table
+  /// when empty) that the scrubber will check, i.e. whose table no write
+  /// touched since the restore and with no structural change since.
+  void RebaseRestoredIndexes(const std::string& table);
+
+  /// Recomputes the payload CRC of the in-memory unit `rec` was written
+  /// from and compares it with `memory_crc` (a table-meta record compares
+  /// the heap's shard count). True when the unit is no longer in memory.
+  bool MemoryMatches(const SegmentRecord& rec) const;
 
   /// Parses a manifest / CKMETA file (segment-framed, kind kManifest).
   Result<CheckpointMeta> LoadCheckpointMeta(const std::string& path);
@@ -387,6 +387,11 @@ class DurabilityManager {
   /// queues are drained. On failure, every handle it could not reopen
   /// latches its shard (or the meta log) rather than dangling.
   Status RotateWals();
+
+  /// Opens every closed WAL handle (shards, then the meta log). Stops at
+  /// the first failure — or, with `latch_failures`, latches the shard (or
+  /// the meta log) it could not open and goes on.
+  Status OpenWals(bool latch_failures);
 
   /// Removes seg/ck* directories other than `keep_id` and `keep_id - 1`.
   void GcCheckpointDirs(uint64_t keep_id);
@@ -426,7 +431,7 @@ class DurabilityManager {
   /// LogMeta stamps meta records inline.
   std::atomic<uint64_t> next_lsn_{1};
 
-  size_t wal_shard_count_ = 1;
+  /// One per storage shard lock; fixed once Open() returns.
   std::vector<std::unique_ptr<ShardWal>> shard_wals_;
   std::atomic<bool> stop_{false};
 
@@ -449,14 +454,11 @@ class DurabilityManager {
   uint64_t last_checkpoint_id_ = 0;
   std::atomic<uint64_t> wal_bytes_since_checkpoint_{0};
 
-  /// \name Scrub state. The segment list and baselines are written under
-  /// the structural gate (checkpoint / recovery / scrub) and read under
-  /// it; the dirty set is additionally written by drainer threads, hence
-  /// its own mutex.
+  /// \name Scrub state. The segment list is written under the structural
+  /// gate (checkpoint / recovery / scrub) and read under it; the dirty set
+  /// is additionally written by drainer threads, hence its own mutex.
   /// @{
   std::vector<SegmentRecord> current_segments_;
-  std::map<std::string, TableBaseline> table_baselines_;
-  std::map<std::string, uint32_t> index_baselines_;
   std::mutex dirty_mutex_;
   std::set<std::string> dirty_tables_;
   bool structural_dirty_ = false;

@@ -5,27 +5,11 @@
 namespace beas {
 namespace durability {
 
-Status WriteSegmentFile(Env* env, const std::string& path, SegmentKind kind,
-                        const std::string& payload,
-                        uint32_t* payload_crc_out) {
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  if (payload_crc_out != nullptr) *payload_crc_out = crc;
-  ByteSink header;
-  header.PutU32(kSegMagic);
-  header.PutU32(kSegVersion);
-  header.PutU8(static_cast<uint8_t>(kind));
-  header.PutU32(crc);
-  header.PutU64(payload.size());
-  BEAS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
-                        env->NewWritableFile(path));
-  BEAS_RETURN_NOT_OK(f->Truncate(0));
-  BEAS_RETURN_NOT_OK(f->Append(header.str().data(), header.str().size()));
-  BEAS_RETURN_NOT_OK(f->Append(payload.data(), payload.size()));
-  return f->Sync();
-}
+namespace {
 
-Result<SegmentView> OpenSegment(Env* env, const std::string& path,
-                                SegmentKind kind) {
+/// The one header / length / CRC validation behind OpenSegment and
+/// VerifySegmentFile.
+Result<SegmentView> MapSegment(Env* env, const std::string& path) {
   SegmentView view;
   BEAS_ASSIGN_OR_RETURN(view.file, env->NewRandomAccessFile(path));
   if (view.file->size() < kSegHeaderBytes) {
@@ -34,8 +18,8 @@ Result<SegmentView> OpenSegment(Env* env, const std::string& path,
   ByteReader header(view.file->data(), kSegHeaderBytes);
   uint32_t magic = header.GetU32();
   uint32_t version = header.GetU32();
-  uint8_t file_kind = header.GetU8();
-  uint32_t crc = header.GetU32();
+  view.kind = static_cast<SegmentKind>(header.GetU8());
+  view.crc = header.GetU32();
   uint64_t payload_len = header.GetU64();
   if (magic != kSegMagic) {
     return Status::Corruption("not a BEAS segment: " + path);
@@ -43,49 +27,60 @@ Result<SegmentView> OpenSegment(Env* env, const std::string& path,
   if (version != kSegVersion) {
     return Status::Corruption("unsupported segment version " +
                               std::to_string(version) + ": " + path);
-  }
-  if (file_kind != static_cast<uint8_t>(kind)) {
-    return Status::Corruption("segment kind mismatch: " + path);
   }
   if (payload_len != view.file->size() - kSegHeaderBytes) {
     return Status::Corruption("segment length mismatch: " + path);
   }
   view.payload = view.file->data() + kSegHeaderBytes;
   view.payload_len = payload_len;
-  if (Crc32c(view.payload, payload_len) != crc) {
+  if (Crc32c(view.payload, payload_len) != view.crc) {
     return Status::Corruption("segment CRC mismatch: " + path);
+  }
+  return view;
+}
+
+}  // namespace
+
+std::string EncodeSegmentHeader(SegmentKind kind, const std::string& payload,
+                                uint32_t* payload_crc_out) {
+  const uint32_t crc = Crc32c(payload.data(), payload.size());
+  if (payload_crc_out != nullptr) *payload_crc_out = crc;
+  ByteSink header;
+  header.PutU32(kSegMagic);
+  header.PutU32(kSegVersion);
+  header.PutU8(static_cast<uint8_t>(kind));
+  header.PutU32(crc);
+  header.PutU64(payload.size());
+  return header.Take();
+}
+
+Status WriteSegmentFile(Env* env, const std::string& path, SegmentKind kind,
+                        const std::string& payload,
+                        uint32_t* payload_crc_out) {
+  const std::string header =
+      EncodeSegmentHeader(kind, payload, payload_crc_out);
+  BEAS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
+                        env->NewWritableFile(path));
+  BEAS_RETURN_NOT_OK(f->Truncate(0));
+  BEAS_RETURN_NOT_OK(f->Append(header.data(), header.size()));
+  BEAS_RETURN_NOT_OK(f->Append(payload.data(), payload.size()));
+  return f->Sync();
+}
+
+Result<SegmentView> OpenSegment(Env* env, const std::string& path,
+                                SegmentKind kind) {
+  BEAS_ASSIGN_OR_RETURN(SegmentView view, MapSegment(env, path));
+  if (view.kind != kind) {
+    return Status::Corruption("segment kind mismatch: " + path);
   }
   return view;
 }
 
 Result<SegmentKind> VerifySegmentFile(Env* env, const std::string& path,
                                       uint32_t* payload_crc_out) {
-  BEAS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
-                        env->NewRandomAccessFile(path));
-  if (file->size() < kSegHeaderBytes) {
-    return Status::Corruption("segment too small: " + path);
-  }
-  ByteReader header(file->data(), kSegHeaderBytes);
-  uint32_t magic = header.GetU32();
-  uint32_t version = header.GetU32();
-  uint8_t file_kind = header.GetU8();
-  uint32_t crc = header.GetU32();
-  uint64_t payload_len = header.GetU64();
-  if (magic != kSegMagic) {
-    return Status::Corruption("not a BEAS segment: " + path);
-  }
-  if (version != kSegVersion) {
-    return Status::Corruption("unsupported segment version " +
-                              std::to_string(version) + ": " + path);
-  }
-  if (payload_len != file->size() - kSegHeaderBytes) {
-    return Status::Corruption("segment length mismatch: " + path);
-  }
-  if (Crc32c(file->data() + kSegHeaderBytes, payload_len) != crc) {
-    return Status::Corruption("segment CRC mismatch: " + path);
-  }
-  if (payload_crc_out != nullptr) *payload_crc_out = crc;
-  return static_cast<SegmentKind>(file_kind);
+  BEAS_ASSIGN_OR_RETURN(SegmentView view, MapSegment(env, path));
+  if (payload_crc_out != nullptr) *payload_crc_out = view.crc;
+  return view.kind;
 }
 
 std::string BuildTableMetaPayload(const TableInfo& table) {

@@ -35,6 +35,12 @@ constexpr uint32_t kSegMagic = 0x47455342u;  // "BSEG"
 constexpr uint32_t kSegVersion = 1;
 constexpr uint64_t kSegHeaderBytes = 21;
 
+/// The frame header for `payload`; `payload_crc_out` (optional) receives
+/// the payload's CRC-32C. WriteSegmentFile and the MANIFEST commit both
+/// frame through it.
+std::string EncodeSegmentHeader(SegmentKind kind, const std::string& payload,
+                                uint32_t* payload_crc_out = nullptr);
+
 /// Writes a complete segment file (truncate + append + fsync). Segment
 /// files live in a fresh checkpoint directory referenced only by the
 /// manifest written after all of them, so in-place write is crash-safe.
@@ -48,6 +54,8 @@ Status WriteSegmentFile(Env* env, const std::string& path, SegmentKind kind,
 /// place (no copy beyond what the Env's view itself holds).
 struct SegmentView {
   std::unique_ptr<RandomAccessFile> file;
+  SegmentKind kind = SegmentKind::kManifest;
+  uint32_t crc = 0;  ///< the payload CRC-32C, validated against the bytes
   const char* payload = nullptr;
   uint64_t payload_len = 0;
 
@@ -59,10 +67,9 @@ struct SegmentView {
 Result<SegmentView> OpenSegment(Env* env, const std::string& path,
                                 SegmentKind kind);
 
-/// Validates `path`'s framing and payload CRC without pinning the kind —
-/// the verify-before-commit and scrub passes sweep whole checkpoint
-/// directories with it. Returns the file's kind; `payload_crc_out`
-/// (optional) receives the validated payload CRC for baseline capture.
+/// Validates `path`'s framing and payload CRC without pinning the kind.
+/// Returns the file's kind; `payload_crc_out` (optional) receives the
+/// validated payload CRC.
 Result<SegmentKind> VerifySegmentFile(Env* env, const std::string& path,
                                       uint32_t* payload_crc_out = nullptr);
 /// @}

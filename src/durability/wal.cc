@@ -24,10 +24,9 @@ Result<WalReadResult> ReadWalFile(Env* env, const std::string& path) {
   BEAS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> view,
                         env->NewRandomAccessFile(path));
   const RandomAccessFile& file = *view;
-  if (file.size() == 0) return out;
   if (file.size() < kWalHeaderBytes) {
-    // A torn header can only mean the file was killed during creation,
-    // before any record landed: an empty log.
+    // Empty, or a torn header: the file was killed during creation,
+    // before any record landed — an empty log.
     return out;
   }
   ByteReader header(file.data(), kWalHeaderBytes);
@@ -64,10 +63,11 @@ Result<WalReadResult> ReadWalFile(Env* env, const std::string& path) {
   return out;
 }
 
-Status InitWalFile(Env* env, const std::string& path) {
+Result<std::unique_ptr<WritableFile>> OpenWalFile(Env* env,
+                                                  const std::string& path) {
   BEAS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
                         env->NewWritableFile(path));
-  if (f->size() >= kWalHeaderBytes) return Status::OK();
+  if (f->size() >= kWalHeaderBytes) return f;
   BEAS_RETURN_NOT_OK(f->Truncate(0));
   ByteSink header;
   header.PutU32(kWalMagic);
@@ -76,7 +76,8 @@ Status InitWalFile(Env* env, const std::string& path) {
   BEAS_RETURN_NOT_OK(f->Sync());
   // A fresh file's directory entry must be durable too, or a machine
   // crash can forget the file along with every record later acked into it.
-  return env->SyncParentDir(path);
+  BEAS_RETURN_NOT_OK(env->SyncParentDir(path));
+  return f;
 }
 
 }  // namespace durability

@@ -69,9 +69,11 @@ struct WalReadResult {
 /// silently replayed).
 Result<WalReadResult> ReadWalFile(Env* env, const std::string& path);
 
-/// Creates `path` with a fresh header if absent or empty. Leaves an
-/// existing non-empty file untouched.
-Status InitWalFile(Env* env, const std::string& path);
+/// Opens `path` for appends, first writing (and syncing) a fresh header
+/// if the file is absent or shorter than one. An existing headed file is
+/// left untouched and appends continue at its end.
+Result<std::unique_ptr<WritableFile>> OpenWalFile(Env* env,
+                                                  const std::string& path);
 /// @}
 
 }  // namespace durability

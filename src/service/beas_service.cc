@@ -118,11 +118,9 @@ BeasService::BeasService(ServiceOptions options)
       maintenance_(&db_, &catalog_),
       session_(&db_, &catalog_),
       cache_(options_.cache_capacity, options_.cache_shards),
-      cache_enabled_(options_.enable_plan_cache),
       result_cache_(std::make_unique<ResultCache>(
           options_.result_cache_max_bytes, options_.cache_shards)),
-      result_cache_enabled_(options_.enable_result_cache &&
-                            options_.result_cache_max_bytes > 0),
+      result_cache_enabled_(options_.result_cache_max_bytes > 0),
       // At least one worker, or Submit() futures would never resolve.
       pool_(std::max<size_t>(1, options_.num_workers)) {
   // (b) incremental index maintenance: inserts/deletes update AC indices
@@ -142,10 +140,7 @@ BeasService::BeasService(ServiceOptions options)
     result_cache_->InvalidateTable(table);
   });
   if (!options_.durability.dir.empty()) {
-    // The stats table is recycled with direct heap writes outside the
-    // hooked write path; logging or checkpointing it would replay stale
-    // gauges (and its DROP has no hook to log).
-    options_.durability.transient_tables = {kStatsTableName};
+    // The durability layer never logs or checkpoints kStatsTableName.
     durability_ = std::make_unique<durability::DurabilityManager>(
         &db_, &catalog_, options_.durability);
     // Recovers the data dir into db_/catalog_, registers the structural

@@ -26,21 +26,18 @@ struct ServiceOptions {
   size_t num_workers = 4;      ///< threads serving Submit(); clamped to >= 1
   size_t cache_capacity = 1024;
   size_t cache_shards = 8;
-  bool enable_plan_cache = true;
-  /// \name Materialized result cache (see ResultCache).
-  /// @{
-  bool enable_result_cache = true;
-  /// Byte bound on cached answer payloads (row data + diagnostics), split
-  /// evenly across cache_shards; LRU answers are evicted past it. 0
-  /// disables the result cache outright.
+  /// Byte bound on materialized answer payloads (row data + diagnostics;
+  /// see ResultCache), split evenly across cache_shards; LRU answers are
+  /// evicted past it. 0 disables the result cache outright. Both caches
+  /// can also be switched at runtime (set_cache_enabled,
+  /// set_result_cache_enabled).
   size_t result_cache_max_bytes = 64u << 20;
-  /// @}
   EngineProfile fallback_profile = EngineProfile::PostgresLike();
   /// Durable mode: set `durability.dir` to a data directory and the
   /// service recovers it on construction and write-ahead-logs every write
   /// from then on (see DurabilityManager). Empty dir = in-memory service,
-  /// bit-for-bit the pre-durability behavior. `transient_tables` is
-  /// overwritten by the service (it always excludes beas_stats).
+  /// bit-for-bit the pre-durability behavior. beas_stats is never
+  /// persisted.
   durability::DurabilityOptions durability;
 
   /// \name Overload resilience.
@@ -319,7 +316,7 @@ class BeasService {
   /// plain SQL (`SELECT * FROM beas_stats`), not just programmatic
   /// cache_stats().
   /// @{
-  static constexpr const char* kStatsTableName = "beas_stats";
+  static constexpr const char* kStatsTableName = durability::kStatsTableName;
   /// Rebuilds the stats table's rows from the current counters. Per-shard
   /// counters are sampled one shard at a time (ShardReadScope each) — the
   /// refresh never holds two shard locks at once, so it cannot invert
@@ -537,7 +534,7 @@ class BeasService {
   MaintenanceManager maintenance_;
   BeasSession session_;
   PlanCache cache_;
-  std::atomic<bool> cache_enabled_;
+  std::atomic<bool> cache_enabled_{true};
 
   /// Materialized answers (unique_ptr keeps result_cache.h out of this
   /// header; never null).

@@ -545,7 +545,7 @@ TEST(FaultEnvTest, UnsyncedDirectoryEntryVanishesAtTheCut) {
   ASSERT_TRUE(f.ValueOrDie()->Sync().ok());
   // fsync(file) without fsync(dir): the bytes are durable but the name
   // is not — the file as a whole may vanish. This is the exact window
-  // InitWalFile closes with SyncParentDir. (kDropAll: nothing unsynced
+  // OpenWalFile closes with SyncParentDir. (kDropAll: nothing unsynced
   // reaches the platter; kKeepAll would keep the entry.)
   env.CutNow(FaultInjectingEnv::TearPolicy::kDropAll);
   env.InstallCrashImage();

@@ -141,7 +141,7 @@ TEST(DurabilityWalTest, RoundTripAndTornTailRepair) {
   TempDir tmp;
   std::string path = tmp.path + "/shard_0.wal";
   Env* env = Env::Default();
-  ASSERT_TRUE(durability::InitWalFile(env, path).ok());
+  ASSERT_TRUE(durability::OpenWalFile(env, path).ok());
 
   ByteSink group;
   durability::EncodeWalRecord(&group, MakeRecord(1, "alpha"));
@@ -179,7 +179,7 @@ TEST(DurabilityWalTest, CorruptedRecordStopsTheParse) {
   TempDir tmp;
   std::string path = tmp.path + "/shard_0.wal";
   Env* env = Env::Default();
-  ASSERT_TRUE(durability::InitWalFile(env, path).ok());
+  ASSERT_TRUE(durability::OpenWalFile(env, path).ok());
   ByteSink group;
   durability::EncodeWalRecord(&group, MakeRecord(1, "aaaa"));
   durability::EncodeWalRecord(&group, MakeRecord(2, "bbbb"));

@@ -519,15 +519,31 @@ struct ScrubFixture {
            "/t_call.s0.seg";
   }
 
-  /// Flips one stored value in place — in-memory rot that no write path
-  /// produced, so the table stays "clean since checkpoint" and the scrub
-  /// memory pass is responsible for catching it.
+  /// Closes the service and reopens the data directory. Nothing was
+  /// written since the checkpoint, so recovery replays no record and the
+  /// scrub baseline is the one recovery's verify pass read back.
+  void Reopen() {
+    svc.reset();
+    svc = MakeService(data_dir, &env);
+    ASSERT_TRUE(svc->durable()) << svc->durability_status().ToString();
+    EXPECT_EQ(svc->durability_counters().recovery_replayed_records, 0u);
+    EXPECT_EQ(StateFingerprint(svc.get()), expected);
+  }
+
+  /// Flips one stored value in place (first row of the first non-empty
+  /// shard) — in-memory rot that no write path produced, so the table
+  /// stays "clean since checkpoint" and the scrub memory pass is
+  /// responsible for catching it.
   void RotMemoryRow() {
     auto info = svc->db()->catalog()->GetTable("call");
     ASSERT_TRUE(info.ok());
     TableHeap* heap = info.ValueOrDie()->heap();
-    ASSERT_TRUE(heap->ShardRowLive(0, 0));
-    (*heap->MutableShardRowForTesting(0, 0))[1] = I(424242);
+    size_t shard = 0;
+    while (shard + 1 < heap->num_shards() && heap->ShardRowCount(shard) == 0) {
+      ++shard;
+    }
+    ASSERT_TRUE(heap->ShardRowLive(shard, 0));
+    (*heap->MutableShardRowForTesting(shard, 0))[1] = I(424242);
   }
 };
 
@@ -620,6 +636,68 @@ TEST(ScrubTest, CorruptionOnBothSidesStaysQuarantinedAndTyped) {
        "call.date = '2016-01-01'",
        QueryMode::kBoundedOnly});
   EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+}
+
+// The same detection and repair when the scrub baseline came out of
+// recovery (checkpoint, close, reopen) rather than out of the checkpoint
+// that wrote the segments — at one and three heap shards, so the
+// per-shard records and the shard-count check are both exercised.
+TEST(ScrubTest, RotAfterReopenIsDetectedAndRepaired) {
+  for (size_t shards : {size_t{1}, size_t{3}}) {
+    ShardOverrideGuard guard(shards);
+    {
+      SCOPED_TRACE("memory rot, shards=" + std::to_string(shards));
+      ScrubFixture fx(47, "/scrubfs/reopen_mem" + std::to_string(shards));
+      fx.Reopen();
+      fx.RotMemoryRow();
+      ASSERT_NE(StateFingerprint(fx.svc.get()), fx.expected);
+
+      durability::ScrubReport report;
+      Status st = fx.svc->Scrub(&report);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(report.corruptions_found, 1u);
+      EXPECT_EQ(report.repairs, 1u);
+      EXPECT_EQ(report.unrepairable, 0u);
+      EXPECT_EQ(StateFingerprint(fx.svc.get()), fx.expected);
+      EXPECT_EQ(fx.svc->durability_counters().quarantined_shards, 0u);
+      // The reload restored the index again; its baseline followed.
+      durability::ScrubReport again;
+      EXPECT_TRUE(fx.svc->Scrub(&again).ok());
+      EXPECT_EQ(again.corruptions_found, 0u);
+      ASSERT_TRUE(
+          fx.svc->Insert("call", {I(9), I(9), Dt("2016-01-02"), S("r2")})
+              .ok());
+    }
+    {
+      SCOPED_TRACE("disk rot, shards=" + std::to_string(shards));
+      ScrubFixture fx(53, "/scrubfs/reopen_disk" + std::to_string(shards));
+      fx.Reopen();
+      ASSERT_TRUE(fx.env.FlipBit(fx.RowSegPath(), 24, 2).ok());
+
+      durability::ScrubReport report;
+      Status st = fx.svc->Scrub(&report);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_GE(report.segments_checked, 4u);
+      EXPECT_EQ(report.corruptions_found, 1u);
+      EXPECT_EQ(report.repairs, 1u);
+      EXPECT_EQ(report.unrepairable, 0u);
+      durability::DurabilityCounters counters = fx.svc->durability_counters();
+      EXPECT_EQ(counters.quarantined_shards, 0u);
+      // The repair is the reopened process's first checkpoint.
+      EXPECT_EQ(counters.checkpoints_total, 1u);
+      EXPECT_EQ(StateFingerprint(fx.svc.get()), fx.expected);
+
+      durability::ScrubReport again;
+      EXPECT_TRUE(fx.svc->Scrub(&again).ok());
+      EXPECT_EQ(again.corruptions_found, 0u);
+      fx.svc.reset();
+      std::unique_ptr<BeasService> recovered =
+          MakeService(fx.data_dir, &fx.env);
+      ASSERT_TRUE(recovered->durable())
+          << recovered->durability_status().ToString();
+      EXPECT_EQ(StateFingerprint(recovered.get()), fx.expected);
+    }
+  }
 }
 
 TEST(ScrubTest, MaintenanceCycleRunsScrubAndAFailedScrubBlocksCheckpoint) {
