@@ -180,10 +180,9 @@ int main() {
 
   // --- Showcase: the same workload through the worker pool. ---
   // Submit() refuses past max_queue_depth requests in flight, and a
-  // worker releases its slot just after it publishes the answer, so each
-  // worker may still hold one slot for an answer the client already has:
-  // keep max_queue_depth - num_workers in flight.
-  const size_t window = options.max_queue_depth - options.num_workers;
+  // worker frees its slot before it answers, so the client can keep
+  // exactly max_queue_depth in flight.
+  const size_t window = options.max_queue_depth;
   auto t0 = std::chrono::steady_clock::now();
   std::deque<std::future<Result<QueryResponse>>> in_flight;
   size_t errors = 0;

@@ -1,5 +1,7 @@
 #include "durability/segment.h"
 
+#include <cstring>
+
 #include "common/crc32.h"
 
 namespace beas {
@@ -176,21 +178,24 @@ Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r) {
 std::string BuildIndexPayload(const AcIndex& index) {
   ByteSink sink;
   WriteConstraint(&sink, index.constraint());
-  ByteSink buckets;
+  // The bucket count is known only after the walk: reserve its slot and
+  // fill it in afterwards, so the buckets are serialized once, in place.
+  const size_t count_at = sink.size();
+  sink.PutU64(0);
   uint64_t num_buckets = 0;
   index.ForEachBucket([&](const ValueVec& key,
                           const AcIndex::BucketView& bucket) {
     ++num_buckets;
-    WriteRow(&buckets, key);
-    buckets.PutU32(static_cast<uint32_t>(bucket.size()));
+    WriteRow(&sink, key);
+    sink.PutU32(static_cast<uint32_t>(bucket.size()));
     for (size_t b = 0; b < bucket.size(); ++b) {
-      WriteRow(&buckets, bucket.cells + b * bucket.arity, bucket.arity);
-      buckets.PutU64(bucket.mult(b));
+      WriteRow(&sink, bucket.cells + b * bucket.arity, bucket.arity);
+      sink.PutU64(bucket.mult(b));
     }
   });
-  sink.PutU64(num_buckets);
-  sink.PutRaw(buckets.str().data(), buckets.str().size());
-  return sink.Take();
+  std::string payload = sink.Take();
+  std::memcpy(&payload[count_at], &num_buckets, sizeof(num_buckets));
+  return payload;
 }
 
 Result<IndexRestore> ParseIndexPayload(ByteReader r) {

@@ -1088,8 +1088,11 @@ std::future<Result<QueryResponse>> BeasService::Submit(QueryRequest request) {
     return future;
   }
   bool queued = pool_.Submit([this, promise, request = std::move(request)] {
-    promise->set_value(Query(request));
+    // Free the slot before answering: a client that resubmits as soon as
+    // its answer arrives must find it free.
+    Result<QueryResponse> response = Query(request);
     submit_queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+    promise->set_value(std::move(response));
   });
   if (!queued) {
     submit_queue_depth_.fetch_sub(1, std::memory_order_relaxed);

@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/exec_control.h"
 #include "common/failpoint.h"
@@ -338,6 +339,79 @@ TEST(HashTest, StringHashCollisionSanity) {
   // Length-sensitive: a trailing NUL byte is not the empty string.
   EXPECT_NE(HashString(""), HashString(std::string(1, '\0')));
   EXPECT_NE(HashBytes("abc", 3), HashBytes("abc", 2));
+}
+
+// ---------------------------------------------------------------------------
+// Crc32c: the durability checksum. The dispatched function (SSE4.2 when the
+// CPU has it) must equal the portable table loop bit for bit, or data
+// directories would not move between machines.
+// ---------------------------------------------------------------------------
+
+TEST(Crc32cTest, KnownAnswersOnBothImplementations) {
+  // RFC 3720 section B.4, plus the common "123456789" check value.
+  std::vector<unsigned char> zeros(32, 0x00);
+  std::vector<unsigned char> ones(32, 0xFF);
+  std::vector<unsigned char> ascending(32);
+  std::vector<unsigned char> descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  const std::string digits = "123456789";
+  struct Case {
+    const void* data;
+    size_t len;
+    uint32_t want;
+  };
+  const Case cases[] = {
+      {zeros.data(), zeros.size(), 0x8A9136AAu},
+      {ones.data(), ones.size(), 0x62A8AB43u},
+      {ascending.data(), ascending.size(), 0x46DD794Eu},
+      {descending.data(), descending.size(), 0x113FDB5Cu},
+      {digits.data(), digits.size(), 0xE3069283u},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Crc32c(c.data, c.len), c.want);
+    EXPECT_EQ(internal::Crc32cPortable(c.data, c.len), c.want);
+  }
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(internal::Crc32cPortable(nullptr, 0), 0u);
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  // Lengths straddle the 8-byte word loop and its byte tail; start
+  // offsets 0-7 cover every alignment of the word loads.
+  Rng rng(20261019);
+  std::vector<unsigned char> buf(4100 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Uniform(0, 255));
+  for (int trial = 0; trial < 2000; ++trial) {
+    size_t len = static_cast<size_t>(
+        trial < 64 ? trial : rng.Uniform(0, 4100));
+    size_t offset = static_cast<size_t>(trial % 8);
+    uint32_t seed = static_cast<uint32_t>(rng.Uniform(0, UINT32_MAX));
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(Crc32c(p, len, seed), internal::Crc32cPortable(p, len, seed))
+        << "len " << len << " offset " << offset << " seed " << seed;
+  }
+}
+
+TEST(Crc32cTest, SeedChainsAcrossSplits) {
+  // Crc32c(b, Crc32c(a)) == Crc32c(a ++ b) for every split point, so a
+  // checksum can be taken over a payload written in pieces.
+  Rng rng(7);
+  std::vector<unsigned char> buf(300);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Uniform(0, 255));
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    uint32_t head = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+    uint32_t portable_head = internal::Crc32cPortable(buf.data(), split);
+    EXPECT_EQ(internal::Crc32cPortable(buf.data() + split,
+                                       buf.size() - split, portable_head),
+              whole)
+        << "split " << split;
+  }
 }
 
 // ---------------------------------------------------------------------------

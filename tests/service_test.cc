@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -1750,6 +1751,35 @@ TEST_F(ResilienceTest, SubmitQueueIsBounded) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(drained);
+}
+
+TEST_F(ResilienceTest, ResubmittingOnEachAnswerIsNeverRefused) {
+  // A client holding exactly max_queue_depth requests in flight submits
+  // the next one as soon as an answer arrives: the answered request's slot
+  // must already be free by then.
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.max_queue_depth = 4;
+  Start(options);
+
+  std::deque<std::future<Result<QueryResponse>>> in_flight;
+  for (size_t i = 0; i < options.max_queue_depth; ++i) {
+    in_flight.push_back(service_->Submit({kCallQuery}));
+  }
+  for (int answered = 0; answered < 20000; ++answered) {
+    auto resp = in_flight.front().get();
+    in_flight.pop_front();
+    ASSERT_TRUE(resp.ok()) << "answer " << answered << ": "
+                           << resp.status().ToString();
+    in_flight.push_back(service_->Submit({kCallQuery}));
+  }
+  while (!in_flight.empty()) {
+    auto resp = in_flight.front().get();
+    in_flight.pop_front();
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  }
+  EXPECT_EQ(service_->service_counters().queries_rejected_total, 0u);
+  EXPECT_EQ(service_->service_counters().submit_queue_depth, 0u);
 }
 
 TEST_F(ResilienceTest, ResilienceGaugesExposedThroughBeasStats) {
