@@ -1,5 +1,9 @@
 #include "asx/ac_index.h"
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+
 #include "common/task_pool.h"
 
 namespace beas {
@@ -12,6 +16,22 @@ namespace {
 /// chunked fan-out, so small per-step batches never pay fan-out overhead
 /// on either path.
 constexpr size_t kShardedProbeMin = 1024;
+
+constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+/// Open-addressing capacity for `n` members: load factor at most 1/2.
+size_t SlotCapacity(size_t n) { return HashTableCapacity(2 * n); }
+
+/// Home slot of a key of hash `h`. Routing consumes `h % num_shards`, so
+/// the table first mixes the hash: otherwise the keys of one sub-index
+/// would share their low bits and crowd into a fraction of the slots.
+size_t KeyHome(uint64_t h, size_t mask) { return HashInt64(h) & mask; }
+
+/// True when probe-run member `home` must stay put after `hole` opens
+/// ahead of its current slot `s` (its home lies cyclically in (hole, s]).
+bool StaysPut(size_t hole, size_t s, size_t home) {
+  return hole <= s ? (home > hole && home <= s) : (home > hole || home <= s);
+}
 
 }  // namespace
 
@@ -37,13 +57,16 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Build(AccessConstraint constraint,
                   heap.num_shards()));
   index->dict_ = heap.dict();
   // The index is not shared yet: no write mutex, and one scratch key
-  // reused across rows (InsertRow copies it only for a new bucket).
+  // reused across rows (InsertRow copies it only for a new key).
   ValueVec key;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
     if (!index->ProjectKey(it.row(), &key)) continue;
-    index->InsertRow(index->shards_[index->ShardOfKey(key)].get(), key,
+    uint64_t h = ValueVecHash{}(key);
+    index->InsertRow(index->shards_[index->ShardOf(h)].get(), key, h,
                      it.row());
   }
+  // Drop the growth slack of the walk: every bucket ends at its exact size.
+  for (std::unique_ptr<SubIndex>& sub : index->shards_) index->Compact(sub.get());
   return index;
 }
 
@@ -57,27 +80,30 @@ bool AcIndex::ProjectKey(const Row& row, ValueVec* key) const {
   return true;
 }
 
-AcIndex::BucketView AcIndex::ViewOf(const Bucket& bucket) const {
-  return BucketView{bucket.cells.data(), bucket.mults.data(),
-                    static_cast<uint32_t>(bucket.mults.size()),
-                    static_cast<uint32_t>(y_cols_.size())};
+AcIndex::BucketView AcIndex::ViewOf(const SubIndex& sub,
+                                    const KeyDir& d) const {
+  size_t arity = y_cols_.size();
+  return BucketView{sub.cells.data() + d.off * arity, sub.mults.data() + d.off,
+                    d.n, static_cast<uint32_t>(arity)};
 }
 
-AcIndex::BucketView AcIndex::FindIn(const SubIndex& sub,
-                                    const ValueVec& key) const {
-  auto it = sub.buckets.find(key);
-  if (it == sub.buckets.end()) return BucketView{};
-  return ViewOf(it->second);
+AcIndex::BucketView AcIndex::FindIn(const SubIndex& sub, const ValueVec& key,
+                                    uint64_t h) const {
+  uint32_t id = FindKey(sub, key, h, nullptr);
+  if (id == kEmptySlot) return BucketView{};
+  return ViewOf(sub, sub.dir[id]);
 }
 
 AcIndex::BucketView AcIndex::LookupWithCounts(const ValueVec& key) const {
-  return FindIn(*shards_[ShardOfKey(key)], key);
+  uint64_t h = ValueVecHash{}(key);
+  return FindIn(*shards_[ShardOf(h)], key, h);
 }
 
 void AcIndex::LookupBatch(const ValueVec* keys, size_t count,
                           BucketView* out) const {
   for (size_t i = 0; i < count; ++i) {
-    out[i] = FindIn(*shards_[ShardOfKey(keys[i])], keys[i]);
+    uint64_t h = ValueVecHash{}(keys[i]);
+    out[i] = FindIn(*shards_[ShardOf(h)], keys[i], h);
   }
 }
 
@@ -92,26 +118,25 @@ void AcIndex::LookupBatch(const ValueVec* keys, size_t count, BucketView* out,
   // shard's group as one unit. Results scatter into the caller's slots,
   // so the merged answer order is the caller's key order by construction
   // — no merge step, no schedule dependence.
-  std::vector<uint32_t> shard_of(count);
+  std::vector<uint64_t> hashes(count);
   std::vector<uint32_t> begin(num_shards + 1, 0);
   for (size_t i = 0; i < count; ++i) {
-    uint32_t s = static_cast<uint32_t>(ShardOfKey(keys[i]));
-    shard_of[i] = s;
-    ++begin[s + 1];
+    hashes[i] = ValueVecHash{}(keys[i]);
+    ++begin[ShardOf(hashes[i]) + 1];
   }
   for (size_t s = 0; s < num_shards; ++s) begin[s + 1] += begin[s];
   std::vector<uint32_t> grouped(count);
   {
     std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
     for (size_t i = 0; i < count; ++i) {
-      grouped[cursor[shard_of[i]]++] = static_cast<uint32_t>(i);
+      grouped[cursor[ShardOf(hashes[i])]++] = static_cast<uint32_t>(i);
     }
   }
   auto probe_shard = [&](size_t s) {
     const SubIndex& sub = *shards_[s];
     for (uint32_t j = begin[s]; j < begin[s + 1]; ++j) {
       uint32_t p = grouped[j];
-      out[p] = FindIn(sub, keys[p]);
+      out[p] = FindIn(sub, keys[p], hashes[p]);
     }
   };
   if (pool != nullptr && pool->num_threads() > 0) {
@@ -123,54 +148,200 @@ void AcIndex::LookupBatch(const ValueVec* keys, size_t count, BucketView* out,
 
 void AcIndex::RemapDictCodes(const std::vector<uint32_t>& old_to_new) {
   if (dict_ == nullptr) return;
-  auto remap = [&](Value* v) {
-    if (v->dict() == dict_) {
-      *v = Value::DictString(dict_, old_to_new[v->dict_code()]);
+  auto remap = [&](std::vector<Value>* values) {
+    for (Value& v : *values) {
+      if (v.dict() == dict_) {
+        v = Value::DictString(dict_, old_to_new[v.dict_code()]);
+      }
     }
   };
+  // Remapped values hash identically (hashes fold byte hashes, which a
+  // renumbering does not change), so the key tables and every slot table
+  // stay valid as they are.
   for (std::unique_ptr<SubIndex>& sub : shards_) {
-    // Keys are const inside the map; extract() hands them back mutable.
-    // Remapped values hash identically (hashes fold byte hashes, which a
-    // renumbering does not change), so re-insertion is collision-free by
-    // construction and every slot table stays valid as it is.
-    decltype(sub->buckets) rebuilt;
-    rebuilt.reserve(sub->buckets.size());
-    while (!sub->buckets.empty()) {
-      auto node = sub->buckets.extract(sub->buckets.begin());
-      for (Value& v : node.key()) remap(&v);
-      for (Value& v : node.mapped().cells) remap(&v);
-      rebuilt.insert(std::move(node));
-    }
-    sub->buckets = std::move(rebuilt);
+    remap(&sub->keys);
+    remap(&sub->cells);
   }
 }
 
 void AcIndex::OnInsert(const Row& row) {
   ValueVec key;
   if (!ProjectKey(row, &key)) return;
-  SubIndex& sub = *shards_[ShardOfKey(key)];
+  uint64_t h = ValueVecHash{}(key);
+  SubIndex& sub = *shards_[ShardOf(h)];
   // Writers whose rows hash to different heap shards may reach the same
   // sub-index; per-key order still equals the commit order they observed.
   std::lock_guard<std::mutex> lock(sub.write_mutex);
-  InsertRow(&sub, key, row);
+  InsertRow(&sub, key, h, row);
 }
 
 void AcIndex::OnDelete(const Row& row) {
   ValueVec key;
   if (!ProjectKey(row, &key)) return;
-  SubIndex& sub = *shards_[ShardOfKey(key)];
+  uint64_t h = ValueVecHash{}(key);
+  SubIndex& sub = *shards_[ShardOf(h)];
   std::lock_guard<std::mutex> lock(sub.write_mutex);
-  DeleteRow(&sub, key, row);
+  DeleteRow(&sub, key, h, row);
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// Key table.
+// ---------------------------------------------------------------------------
 
-constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+uint32_t AcIndex::FindKey(const SubIndex& sub, const ValueVec& key,
+                          uint64_t h, size_t* free_slot) const {
+  size_t arity = x_cols_.size();
+  if (sub.table.empty() || key.size() != arity) return kEmptySlot;
+  size_t mask = sub.table.size() - 1;
+  for (size_t s = KeyHome(h, mask);; s = (s + 1) & mask) {
+    uint32_t id = sub.table[s];
+    if (id == kEmptySlot) {
+      if (free_slot != nullptr) *free_slot = s;
+      return kEmptySlot;
+    }
+    const Value* cells = sub.keys.data() + size_t{id} * arity;
+    size_t k = 0;
+    while (k < arity && cells[k] == key[k]) ++k;
+    if (k == arity) return id;
+  }
+}
 
-/// Slot-table capacity for `n` entries: load factor at most 1/2.
-size_t SlotCapacity(size_t n) { return HashTableCapacity(2 * n); }
+uint64_t AcIndex::HashKey(const SubIndex& sub, uint32_t id) const {
+  size_t arity = x_cols_.size();
+  const Value* cells = sub.keys.data() + size_t{id} * arity;
+  uint64_t seed = kValueVecHashSeed;
+  for (size_t k = 0; k < arity; ++k) HashCombine(&seed, cells[k].Hash());
+  return seed;
+}
 
-}  // namespace
+uint32_t AcIndex::AddKey(SubIndex* sub, const ValueVec& key, uint64_t h,
+                         size_t free_slot) const {
+  if (2 * (sub->num_keys + 1) > sub->table.size()) {
+    RebuildTable(sub, sub->num_keys + 1);
+    size_t mask = sub->table.size() - 1;
+    free_slot = KeyHome(h, mask);
+    while (sub->table[free_slot] != kEmptySlot) {
+      free_slot = (free_slot + 1) & mask;
+    }
+  }
+  uint32_t id = static_cast<uint32_t>(sub->dir.size());
+  sub->keys.insert(sub->keys.end(), key.begin(), key.end());
+  sub->dir.emplace_back();
+  sub->table[free_slot] = id;
+  ++sub->num_keys;
+  return id;
+}
+
+void AcIndex::RemoveKey(SubIndex* sub, uint32_t id) const {
+  std::vector<uint32_t>& table = sub->table;
+  size_t mask = table.size() - 1;
+  size_t hole = KeyHome(HashKey(*sub, id), mask);
+  while (table[hole] != id) hole = (hole + 1) & mask;
+  table[hole] = kEmptySlot;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless their home slot lies cyclically in (hole, s].
+  for (size_t s = (hole + 1) & mask; table[s] != kEmptySlot;
+       s = (s + 1) & mask) {
+    if (StaysPut(hole, s, KeyHome(HashKey(*sub, table[s]), mask))) continue;
+    table[hole] = table[s];
+    table[s] = kEmptySlot;
+    hole = s;
+  }
+  size_t arity = x_cols_.size();
+  for (size_t k = 0; k < arity; ++k) sub->keys[size_t{id} * arity + k] = Value();
+  KeyDir& d = sub->dir[id];
+  sub->dead_slots += d.cap;
+  d = KeyDir{};
+  --sub->num_keys;
+}
+
+void AcIndex::RebuildTable(SubIndex* sub, size_t num_keys) const {
+  std::vector<uint32_t>(num_keys == 0 ? 0 : SlotCapacity(num_keys), kEmptySlot)
+      .swap(sub->table);
+  if (sub->table.empty()) return;
+  size_t mask = sub->table.size() - 1;
+  for (uint32_t id = 0; id < sub->dir.size(); ++id) {
+    if (sub->dir[id].n == 0) continue;
+    size_t s = KeyHome(HashKey(*sub, id), mask);
+    while (sub->table[s] != kEmptySlot) s = (s + 1) & mask;
+    sub->table[s] = id;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Arena.
+// ---------------------------------------------------------------------------
+
+void AcIndex::GrowBucket(SubIndex* sub, uint32_t id) const {
+  KeyDir& d = sub->dir[id];
+  size_t arity = y_cols_.size();
+  uint32_t cap = d.cap == 0 ? 1 : 2 * d.cap;
+  size_t off = sub->mults.size();  // arena offsets are uint32 by design
+  sub->mults.resize(off + cap, 0);
+  sub->cells.resize((off + cap) * arity);
+  for (uint32_t b = 0; b < d.n; ++b) {
+    sub->mults[off + b] = sub->mults[d.off + b];
+    for (size_t k = 0; k < arity; ++k) {
+      Value& from = sub->cells[(d.off + b) * arity + k];
+      sub->cells[(off + b) * arity + k] = std::move(from);
+      from = Value();
+    }
+  }
+  sub->dead_slots += d.cap;
+  d.off = static_cast<uint32_t>(off);
+  d.cap = cap;
+}
+
+void AcIndex::Compact(SubIndex* sub) const {
+  size_t x_arity = x_cols_.size();
+  size_t y_arity = y_cols_.size();
+  std::vector<Value> keys;
+  std::vector<KeyDir> dir;
+  std::vector<Value> cells;
+  std::vector<uint32_t> mults;
+  std::unordered_map<uint32_t, std::vector<uint32_t>> slots;
+  keys.reserve(sub->num_keys * x_arity);
+  dir.reserve(sub->num_keys);
+  cells.reserve(sub->num_entries * y_arity);
+  mults.reserve(sub->num_entries);
+  for (uint32_t id = 0; id < sub->dir.size(); ++id) {
+    const KeyDir& d = sub->dir[id];
+    if (d.n == 0) continue;
+    uint32_t new_id = static_cast<uint32_t>(dir.size());
+    auto key_at = sub->keys.begin() + static_cast<ptrdiff_t>(id * x_arity);
+    keys.insert(keys.end(), std::make_move_iterator(key_at),
+                std::make_move_iterator(key_at + static_cast<ptrdiff_t>(x_arity)));
+    dir.push_back(KeyDir{static_cast<uint32_t>(mults.size()), d.n, d.n});
+    auto cells_at = sub->cells.begin() + static_cast<ptrdiff_t>(d.off * y_arity);
+    cells.insert(cells.end(), std::make_move_iterator(cells_at),
+                 std::make_move_iterator(
+                     cells_at + static_cast<ptrdiff_t>(d.n * y_arity)));
+    mults.insert(mults.end(), sub->mults.begin() + d.off,
+                 sub->mults.begin() + d.off + d.n);
+    if (d.n > kLinearMax / 2) {
+      auto it = sub->slots.find(id);
+      if (it != sub->slots.end()) slots.emplace(new_id, std::move(it->second));
+    }
+  }
+  sub->keys.swap(keys);
+  sub->dir.swap(dir);
+  sub->cells.swap(cells);
+  sub->mults.swap(mults);
+  sub->slots.swap(slots);
+  sub->dead_slots = 0;
+  RebuildTable(sub, sub->num_keys);  // key ids changed
+}
+
+void AcIndex::MaybeCompact(SubIndex* sub) const {
+  if (2 * sub->dead_slots > sub->mults.size() ||
+      2 * sub->num_keys < sub->dir.size()) {
+    Compact(sub);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Buckets.
+// ---------------------------------------------------------------------------
 
 uint64_t AcIndex::HashRowY(const Row& row) const {
   uint64_t seed = kValueVecHashSeed;
@@ -178,139 +349,165 @@ uint64_t AcIndex::HashRowY(const Row& row) const {
   return seed;
 }
 
-uint64_t AcIndex::HashEntry(const Bucket& bucket, uint32_t entry) const {
+uint64_t AcIndex::HashEntry(const SubIndex& sub, size_t slot) const {
   size_t arity = y_cols_.size();
-  const Value* cells = bucket.cells.data() + entry * arity;
+  const Value* cells = sub.cells.data() + slot * arity;
   uint64_t seed = kValueVecHashSeed;
   for (size_t k = 0; k < arity; ++k) HashCombine(&seed, cells[k].Hash());
   return seed;
 }
 
-bool AcIndex::EntryMatches(const Bucket& bucket, uint32_t entry,
+bool AcIndex::EntryMatches(const SubIndex& sub, size_t slot,
                            const Row& row) const {
   size_t arity = y_cols_.size();
-  const Value* cells = bucket.cells.data() + entry * arity;
+  const Value* cells = sub.cells.data() + slot * arity;
   for (size_t k = 0; k < arity; ++k) {
     if (cells[k] != row[y_cols_[k]]) return false;
   }
   return true;
 }
 
-int64_t AcIndex::FindEntry(const Bucket& bucket, const Row& row,
+std::vector<uint32_t>* AcIndex::SlotsOf(SubIndex* sub, uint32_t id) {
+  // Tables are dropped at kLinearMax / 2 entries, so smaller buckets
+  // skip the lookup.
+  if (sub->dir[id].n <= kLinearMax / 2) return nullptr;
+  auto it = sub->slots.find(id);
+  return it == sub->slots.end() ? nullptr : &it->second;
+}
+
+int64_t AcIndex::FindEntry(const SubIndex& sub, const KeyDir& d,
+                           const std::vector<uint32_t>* slots, const Row& row,
                            size_t* free_slot) const {
-  uint32_t n = static_cast<uint32_t>(bucket.mults.size());
-  if (bucket.slots.empty()) {
-    for (uint32_t e = 0; e < n; ++e) {
-      if (EntryMatches(bucket, e, row)) return e;
+  if (slots == nullptr) {
+    for (uint32_t e = 0; e < d.n; ++e) {
+      if (EntryMatches(sub, d.off + e, row)) return e;
     }
     return -1;
   }
-  size_t mask = bucket.slots.size() - 1;
+  size_t mask = slots->size() - 1;
   for (size_t s = HashRowY(row) & mask;; s = (s + 1) & mask) {
-    uint32_t e = bucket.slots[s];
+    uint32_t e = (*slots)[s];
     if (e == kEmptySlot) {
       if (free_slot != nullptr) *free_slot = s;
       return -1;
     }
-    if (EntryMatches(bucket, e, row)) return e;
+    if (EntryMatches(sub, d.off + e, row)) return e;
   }
 }
 
-void AcIndex::RebuildSlots(Bucket* bucket) const {
-  uint32_t n = static_cast<uint32_t>(bucket->mults.size());
-  bucket->slots.assign(SlotCapacity(n), kEmptySlot);
-  size_t mask = bucket->slots.size() - 1;
-  for (uint32_t e = 0; e < n; ++e) {
-    size_t s = HashEntry(*bucket, e) & mask;
-    while (bucket->slots[s] != kEmptySlot) s = (s + 1) & mask;
-    bucket->slots[s] = e;
+void AcIndex::RebuildSlots(const SubIndex& sub, const KeyDir& d,
+                           std::vector<uint32_t>* slots) const {
+  slots->assign(SlotCapacity(d.n), kEmptySlot);
+  size_t mask = slots->size() - 1;
+  for (uint32_t e = 0; e < d.n; ++e) {
+    size_t s = HashEntry(sub, d.off + e) & mask;
+    while ((*slots)[s] != kEmptySlot) s = (s + 1) & mask;
+    (*slots)[s] = e;
   }
 }
 
-size_t AcIndex::SlotOf(const Bucket& bucket, uint32_t entry) const {
-  size_t mask = bucket.slots.size() - 1;
-  size_t s = HashEntry(bucket, entry) & mask;
-  while (bucket.slots[s] != entry) s = (s + 1) & mask;
+size_t AcIndex::SlotOf(const SubIndex& sub, const KeyDir& d,
+                       const std::vector<uint32_t>& slots,
+                       uint32_t entry) const {
+  size_t mask = slots.size() - 1;
+  size_t s = HashEntry(sub, d.off + entry) & mask;
+  while (slots[s] != entry) s = (s + 1) & mask;
   return s;
 }
 
-void AcIndex::EraseSlot(Bucket* bucket, uint32_t entry) const {
-  std::vector<uint32_t>& slots = bucket->slots;
-  size_t mask = slots.size() - 1;
-  size_t hole = SlotOf(*bucket, entry);
-  slots[hole] = kEmptySlot;
-  // Backward-shift deletion: pull later members of the probe run into the
-  // hole unless their home slot lies cyclically in (hole, s].
-  for (size_t s = (hole + 1) & mask; slots[s] != kEmptySlot;
+void AcIndex::EraseSlot(const SubIndex& sub, const KeyDir& d,
+                        std::vector<uint32_t>* slots, uint32_t entry) const {
+  std::vector<uint32_t>& table = *slots;
+  size_t mask = table.size() - 1;
+  size_t hole = SlotOf(sub, d, table, entry);
+  table[hole] = kEmptySlot;
+  for (size_t s = (hole + 1) & mask; table[s] != kEmptySlot;
        s = (s + 1) & mask) {
-    size_t home = HashEntry(*bucket, slots[s]) & mask;
-    bool stays = hole <= s ? (home > hole && home <= s)
-                           : (home > hole || home <= s);
-    if (stays) continue;
-    slots[hole] = slots[s];
-    slots[s] = kEmptySlot;
+    if (StaysPut(hole, s, HashEntry(sub, d.off + table[s]) & mask)) continue;
+    table[hole] = table[s];
+    table[s] = kEmptySlot;
     hole = s;
   }
 }
 
-void AcIndex::InsertRow(SubIndex* sub, const ValueVec& key, const Row& row) {
-  Bucket& bucket = sub->buckets[key];  // copies the key for a new bucket only
+void AcIndex::InsertRow(SubIndex* sub, const ValueVec& key, uint64_t h,
+                        const Row& row) const {
   size_t free_slot = 0;
-  int64_t found = FindEntry(bucket, row, &free_slot);
+  uint32_t id = FindKey(*sub, key, h, &free_slot);
+  if (id == kEmptySlot) id = AddKey(sub, key, h, free_slot);
+  std::vector<uint32_t>* slots = SlotsOf(sub, id);
+  int64_t found = FindEntry(*sub, sub->dir[id], slots, row, &free_slot);
   if (found >= 0) {
-    ++bucket.mults[static_cast<size_t>(found)];
+    ++sub->mults[sub->dir[id].off + static_cast<size_t>(found)];
     return;
   }
-  uint32_t entry = static_cast<uint32_t>(bucket.mults.size());
-  for (size_t c : y_cols_) bucket.cells.push_back(row[c]);
-  bucket.mults.push_back(1);
-  ++sub->num_entries;
-  if (bucket.slots.empty()) {
-    if (entry + 1 > kLinearMax) RebuildSlots(&bucket);
-  } else if (bucket.slots.size() < SlotCapacity(entry + 1)) {
-    RebuildSlots(&bucket);
-  } else {
-    bucket.slots[free_slot] = entry;
+  bool moved = sub->dir[id].n == sub->dir[id].cap;
+  if (moved) GrowBucket(sub, id);
+  KeyDir& d = sub->dir[id];
+  uint32_t entry = d.n++;
+  size_t arity = y_cols_.size();
+  for (size_t k = 0; k < arity; ++k) {
+    sub->cells[(d.off + entry) * arity + k] = row[y_cols_[k]];
   }
+  sub->mults[d.off + entry] = 1;
+  ++sub->num_entries;
+  if (slots == nullptr) {
+    if (d.n > kLinearMax) RebuildSlots(*sub, d, &sub->slots[id]);
+  } else if (slots->size() < SlotCapacity(d.n)) {
+    RebuildSlots(*sub, d, slots);
+  } else {
+    (*slots)[free_slot] = entry;
+  }
+  if (moved) MaybeCompact(sub);
 }
 
-void AcIndex::DeleteRow(SubIndex* sub, const ValueVec& key, const Row& row) {
-  auto it = sub->buckets.find(key);
-  if (it == sub->buckets.end()) return;
-  Bucket& bucket = it->second;
-  int64_t found = FindEntry(bucket, row, nullptr);
+void AcIndex::DeleteRow(SubIndex* sub, const ValueVec& key, uint64_t h,
+                        const Row& row) const {
+  uint32_t id = FindKey(*sub, key, h, nullptr);
+  if (id == kEmptySlot) return;
+  std::vector<uint32_t>* slots = SlotsOf(sub, id);
+  KeyDir& d = sub->dir[id];
+  int64_t found = FindEntry(*sub, d, slots, row, nullptr);
   if (found < 0) return;
   uint32_t pos = static_cast<uint32_t>(found);
-  if (--bucket.mults[pos] > 0) return;
+  if (--sub->mults[d.off + pos] > 0) return;
   // Multiplicity hit zero: remove the entry. Swap-with-last keeps removal
   // O(1) and fixes the entry order every later fetch observes.
-  uint32_t last = static_cast<uint32_t>(bucket.mults.size() - 1);
-  if (!bucket.slots.empty()) {
-    EraseSlot(&bucket, pos);
-    if (pos != last) bucket.slots[SlotOf(bucket, last)] = pos;
+  uint32_t last = d.n - 1;
+  if (slots != nullptr) {
+    EraseSlot(*sub, d, slots, pos);
+    if (pos != last) (*slots)[SlotOf(*sub, d, *slots, last)] = pos;
   }
   size_t arity = y_cols_.size();
-  if (pos != last) {
-    for (size_t k = 0; k < arity; ++k) {
-      bucket.cells[pos * arity + k] = std::move(bucket.cells[last * arity + k]);
-    }
-    bucket.mults[pos] = bucket.mults[last];
+  for (size_t k = 0; k < arity; ++k) {
+    Value& from = sub->cells[(d.off + last) * arity + k];
+    if (pos != last) sub->cells[(d.off + pos) * arity + k] = std::move(from);
+    from = Value();
   }
-  bucket.cells.resize(last * arity);
-  bucket.mults.pop_back();
+  sub->mults[d.off + pos] = sub->mults[d.off + last];
+  d.n = last;
   --sub->num_entries;
-  if (bucket.mults.empty()) {
-    sub->buckets.erase(it);
-  } else if (!bucket.slots.empty() && last <= kLinearMax / 2) {
-    std::vector<uint32_t>().swap(bucket.slots);  // back to linear scans
+  if (d.n == 0) {
+    RemoveKey(sub, id);
+    MaybeCompact(sub);
+  } else if (slots != nullptr && d.n <= kLinearMax / 2) {
+    sub->slots.erase(id);  // back to linear scans
   }
 }
 
 void AcIndex::ForEachBucket(
     const std::function<void(const ValueVec& key, const BucketView& bucket)>&
         fn) const {
+  size_t arity = x_cols_.size();
+  ValueVec key;
   for (const std::unique_ptr<SubIndex>& sub : shards_) {
-    for (const auto& [key, bucket] : sub->buckets) fn(key, ViewOf(bucket));
+    for (uint32_t id = 0; id < sub->dir.size(); ++id) {
+      const KeyDir& d = sub->dir[id];
+      if (d.n == 0) continue;
+      const Value* cells = sub->keys.data() + size_t{id} * arity;
+      key.assign(cells, cells + arity);
+      fn(key, ViewOf(*sub, d));
+    }
   }
 }
 
@@ -325,27 +522,57 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Restore(
       new AcIndex(std::move(constraint), std::move(x_cols), std::move(y_cols),
                   heap.num_shards()));
   index->dict_ = heap.dict();
-  size_t arity = index->y_cols_.size();
-  for (RestoredBucket& restored : buckets) {
-    if (restored.cells.size() != restored.mults.size() * arity) {
-      return Status::Internal("restored bucket cells/mults size mismatch");
+  size_t x_arity = index->x_cols_.size();
+  size_t y_arity = index->y_cols_.size();
+  // Route every bucket first, so each sub-index's arrays are sized once.
+  std::vector<uint64_t> hashes(buckets.size());
+  std::vector<size_t> keys_in(index->shards_.size(), 0);
+  std::vector<size_t> entries_in(index->shards_.size(), 0);
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    const RestoredBucket& restored = buckets[i];
+    if (restored.key.size() != x_arity || restored.mults.empty() ||
+        restored.cells.size() != restored.mults.size() * y_arity) {
+      return Status::Internal("restored bucket has the wrong shape");
     }
-    SubIndex& sub = *index->shards_[index->ShardOfKey(restored.key)];
-    Bucket& bucket = sub.buckets[std::move(restored.key)];
-    if (!bucket.mults.empty()) {
+    hashes[i] = ValueVecHash{}(restored.key);
+    size_t s = index->ShardOf(hashes[i]);
+    ++keys_in[s];
+    entries_in[s] += restored.mults.size();
+  }
+  for (size_t s = 0; s < index->shards_.size(); ++s) {
+    SubIndex& sub = *index->shards_[s];
+    sub.keys.reserve(keys_in[s] * x_arity);
+    sub.dir.reserve(keys_in[s]);
+    sub.cells.reserve(entries_in[s] * y_arity);
+    sub.mults.reserve(entries_in[s]);
+    index->RebuildTable(&sub, keys_in[s]);
+  }
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    RestoredBucket& restored = buckets[i];
+    SubIndex& sub = *index->shards_[index->ShardOf(hashes[i])];
+    size_t free_slot = 0;
+    if (index->FindKey(sub, restored.key, hashes[i], &free_slot) !=
+        kEmptySlot) {
       return Status::Internal("duplicate restored bucket key");
     }
-    bucket.cells = std::move(restored.cells);
-    bucket.mults = std::move(restored.mults);
-    if (bucket.mults.size() > kLinearMax) index->RebuildSlots(&bucket);
-    sub.num_entries += bucket.mults.size();
+    uint32_t id = index->AddKey(&sub, restored.key, hashes[i], free_slot);
+    uint32_t n = static_cast<uint32_t>(restored.mults.size());
+    KeyDir& d = sub.dir[id];
+    d = KeyDir{static_cast<uint32_t>(sub.mults.size()), n, n};
+    sub.cells.insert(sub.cells.end(),
+                     std::make_move_iterator(restored.cells.begin()),
+                     std::make_move_iterator(restored.cells.end()));
+    sub.mults.insert(sub.mults.end(), restored.mults.begin(),
+                     restored.mults.end());
+    sub.num_entries += n;
+    if (n > kLinearMax) index->RebuildSlots(sub, d, &sub.slots[id]);
   }
   return index;
 }
 
 size_t AcIndex::NumKeys() const {
   size_t n = 0;
-  for (const auto& sub : shards_) n += sub->buckets.size();
+  for (const auto& sub : shards_) n += sub->num_keys;
   return n;
 }
 
@@ -358,23 +585,20 @@ size_t AcIndex::NumEntries() const {
 size_t AcIndex::MaxBucketSize() const {
   size_t max_size = 0;
   for (const auto& sub : shards_) {
-    for (const auto& [key, bucket] : sub->buckets) {
-      max_size = std::max(max_size, bucket.mults.size());
-    }
+    for (const KeyDir& d : sub->dir) max_size = std::max<size_t>(max_size, d.n);
   }
   return max_size;
 }
 
 uint64_t AcIndex::EstimateBytes(uint64_t num_keys, uint64_t num_entries,
                                 size_t x_arity, size_t y_arity) {
-  // Per key: the hash-map node (next pointer, key vector, bucket, cached
-  // hash), its bucket-array slot, and the key's cells. Per entry: the Y
-  // cells and the multiplicity. Slot tables of large buckets and vector
-  // growth slack are left out: the model is what a compact build holds.
-  constexpr uint64_t kNodeBytes = sizeof(void*) + sizeof(ValueVec) +
-                                  sizeof(Bucket) + sizeof(size_t) +
-                                  sizeof(void*);
-  uint64_t per_key = kNodeBytes + x_arity * sizeof(Value);
+  // Per key: its cells, its directory entry and two key-table slots (the
+  // table at its load bound of 1/2). Per entry: the Y cells and the
+  // multiplicity. Slot tables of large buckets, table slack below that
+  // load, dead arena slots and vector growth slack are left out: the
+  // model is what a compact build holds.
+  uint64_t per_key =
+      x_arity * sizeof(Value) + sizeof(KeyDir) + 2 * sizeof(uint32_t);
   uint64_t per_entry = y_arity * sizeof(Value) + sizeof(uint32_t);
   return num_keys * per_key + num_entries * per_entry;
 }
@@ -386,22 +610,28 @@ uint64_t AcIndex::ApproxBytes() const {
   uint64_t entries = 0;
   for (const auto& sub : shards_) {
     std::lock_guard<std::mutex> lock(sub->write_mutex);
-    keys += sub->buckets.size();
+    keys += sub->num_keys;
     entries += sub->num_entries;
   }
   return EstimateBytes(keys, entries, x_cols_.size(), y_cols_.size());
 }
 
 uint64_t AcIndex::HeldBytes() const {
+  using SlotNode = std::pair<const uint32_t, std::vector<uint32_t>>;
   uint64_t bytes = 0;
   for (const auto& sub : shards_) {
-    bytes += sub->buckets.bucket_count() * sizeof(void*);
-    for (const auto& [key, bucket] : sub->buckets) {
-      bytes += sizeof(void*) + sizeof(key) + sizeof(bucket) + sizeof(size_t);
-      bytes += key.capacity() * sizeof(Value);
-      bytes += bucket.cells.capacity() * sizeof(Value) +
-               bucket.mults.capacity() * sizeof(uint32_t) +
-               bucket.slots.capacity() * sizeof(uint32_t);
+    bytes += sub->table.capacity() * sizeof(uint32_t) +
+             sub->keys.capacity() * sizeof(Value) +
+             sub->dir.capacity() * sizeof(KeyDir) +
+             sub->cells.capacity() * sizeof(Value) +
+             sub->mults.capacity() * sizeof(uint32_t);
+    // A map that never held a node has no bucket array of its own.
+    if (sub->slots.bucket_count() > 1) {
+      bytes += sub->slots.bucket_count() * sizeof(void*);
+    }
+    for (const auto& [id, slots] : sub->slots) {
+      bytes += sizeof(void*) + sizeof(SlotNode) +
+               slots.capacity() * sizeof(uint32_t);
     }
   }
   return bytes;

@@ -23,23 +23,40 @@ class TaskPool;
 /// this index is what gives BEAS its "reduced redundancy" property (§1
 /// feature 2): no duplicated Y values, no unused attributes.
 ///
-/// ## Flat buckets
+/// ## Flat storage
 ///
-/// A bucket is one `std::vector<Value>` of n × |Y| cells (entry b's Y
-/// tuple is cells [b·|Y|, (b+1)·|Y|)) plus a parallel vector of n
-/// multiplicities — the bag weight of each partial tuple, so inserts and
+/// Each sub-index (see hash sharding below) keeps its keys and buckets in
+/// a handful of flat arrays instead of one heap node per key:
+///
+///  - an open-addressing key table of uint32 key ids (linear probing, load
+///    at most 1/2, backward-shift deletion);
+///  - the |X| key cells of every key id, back to back;
+///  - a directory entry {off, n, cap} per key id;
+///  - one arena of entry slots: |Y| cells plus one multiplicity each.
+///
+/// Key k's bucket is the n entries at arena slots [off, off + n): entry
+/// b's Y tuple is cells [(off + b)·|Y|, (off + b + 1)·|Y|), and its
+/// multiplicity is the bag weight of that partial tuple, so inserts and
 /// deletes are O(1) expected, independent of |D| (paper §3 maintenance
 /// module). Each distinct Y is stored once. New Y-values append; a delete
 /// that drops a multiplicity to zero moves the last entry into the hole
 /// (swap-with-last), so entry order is the maintenance order every fetch
 /// observes downstream.
 ///
-/// Deduplication on insert scans the cells linearly while a bucket holds
+/// A bucket that outgrows its `cap` slots moves to the arena's end with
+/// twice the room; a key whose bucket empties leaves the key table. The
+/// slots they leave behind are counted, and once dead slots (or dead key
+/// ids) outnumber live ones the sub-index is rewritten tightly in key-id
+/// order — amortized O(1) per write. Build compacts once after its heap
+/// walk; Restore appends each bucket at its exact size.
+///
+/// Deduplication on insert scans a bucket's cells linearly while it holds
 /// at most kLinearMax entries. Past that it keeps an open-addressing table
 /// of uint32 entry positions, hashed by the Y tuple (linear probing,
-/// backward-shift deletion); a bucket that shrinks back to half that size
-/// drops the table and scans again. Readers never see the table: a
-/// BucketView is just {cells, mults, n, arity}.
+/// backward-shift deletion) in a side table keyed by key id; a bucket that
+/// shrinks back to half that size drops the table and scans again.
+/// Readers never see either table: a BucketView is just
+/// {cells, mults, n, arity}.
 ///
 /// Rows whose X-projection contains NULL are not indexed (SQL equality
 /// never matches NULL keys).
@@ -172,8 +189,9 @@ class AcIndex {
   ///
   /// One formula for the index's resident bytes, shared with the
   /// discovery profiler (which sizes candidate indexes before building
-  /// them): a fixed cost per distinct key and per distinct (X, Y) entry,
-  /// derived from sizeof(Value) and the flat bucket layout.
+  /// them): a fixed cost per distinct key (|X| key cells, a directory
+  /// entry, two key-table slots) and per distinct (X, Y) entry (|Y| cells
+  /// and a multiplicity), derived from sizeof(Value) and the flat layout.
   /// @{
   static uint64_t EstimateBytes(uint64_t num_keys, uint64_t num_entries,
                                 size_t x_arity, size_t y_arity);
@@ -182,17 +200,21 @@ class AcIndex {
   /// to call while writers maintain the index.
   uint64_t ApproxBytes() const;
 
-  /// Bytes the index's containers actually hold (walks every bucket;
-  /// tests pin ApproxBytes against it).
+  /// Bytes the index's containers actually hold (container capacities,
+  /// dead arena slots and slot tables included; tests pin ApproxBytes
+  /// against it).
   uint64_t HeldBytes() const;
   /// @}
 
   /// \name Durability surface (checkpoint export / recovery restore).
   /// @{
-  /// Visits every bucket. Entries are in maintenance order (the order
-  /// answers depend on); bucket visit order is hash-map order —
-  /// irrelevant, since buckets are only ever addressed by key. Caller
-  /// holds the structural lock exclusively.
+  /// Visits every bucket: sub-indexes in order, keys in key-id order
+  /// within each, entries in maintenance order (the order answers depend
+  /// on). The visit order is a function of the write history alone, and
+  /// Restore reproduces it from the visited sequence; readers of a
+  /// checkpoint still address buckets only by key. `key` is one scratch
+  /// vector reused across calls. Caller holds the structural lock
+  /// exclusively.
   void ForEachBucket(
       const std::function<void(const ValueVec& key, const BucketView& bucket)>&
           fn) const;
@@ -211,7 +233,10 @@ class AcIndex {
   /// the state incremental maintenance had reached at the checkpoint).
   /// Keys and Y-values must already be canonicalized against `heap`'s
   /// dictionary; sub-index routing is recomputed from the key hashes
-  /// (deterministic, representation-independent).
+  /// (deterministic, representation-independent). Each sub-index takes
+  /// its buckets in the given order as key ids 0, 1, …, so an index
+  /// restored from ForEachBucket's sequence visits its buckets in that
+  /// same sequence.
   static Result<std::unique_ptr<AcIndex>> Restore(
       AccessConstraint constraint, const TableHeap& heap,
       std::vector<RestoredBucket> buckets);
@@ -225,56 +250,103 @@ class AcIndex {
   /// scan; larger ones keep a slot table (see the class comment).
   static constexpr uint32_t kLinearMax = 16;
 
-  struct Bucket {
-    std::vector<Value> cells;     ///< n × |Y| cells, maintenance order
-    std::vector<uint32_t> mults;  ///< multiplicity per entry
-    /// Open-addressing table of entry positions (kEmptySlot = free);
-    /// empty while the bucket scans linearly.
-    std::vector<uint32_t> slots;
+  /// Where a key id's bucket lives: arena slots [off, off + n), with room
+  /// for `cap` entries before it must move. n == 0 marks a removed key.
+  struct KeyDir {
+    uint32_t off = 0;
+    uint32_t n = 0;
+    uint32_t cap = 0;
   };
 
-  /// One hash partition of the key space.
+  /// One hash partition of the key space (layout: see the class comment).
   struct SubIndex {
-    std::unordered_map<ValueVec, Bucket, ValueVecHash, ValueVecEq> buckets;
+    /// Key ids by open addressing (kEmptySlot = free); empty while the
+    /// sub-index holds no key.
+    std::vector<uint32_t> table;
+    std::vector<Value> keys;  ///< |X| cells per key id
+    std::vector<KeyDir> dir;  ///< per key id
+    std::vector<Value> cells;      ///< arena: |Y| cells per entry slot
+    std::vector<uint32_t> mults;   ///< arena: multiplicity per entry slot
+    /// Entry-position slot tables of buckets past kLinearMax, by key id.
+    std::unordered_map<uint32_t, std::vector<uint32_t>> slots;
+    size_t num_keys = 0;
     size_t num_entries = 0;
+    size_t dead_slots = 0;  ///< arena slots no live bucket owns
     /// Writer-writer serialization only (see class comment).
     std::mutex write_mutex;
   };
 
-  /// The sub-index `key` routes to. The modulo distributes the same
-  /// 64-bit hash the sub-maps use, so routing is deterministic and free
-  /// of representational bias (dictionary-backed and inline strings hash
-  /// identically).
-  size_t ShardOfKey(const ValueVec& key) const {
-    if (shards_.size() == 1) return 0;
-    return static_cast<size_t>(ValueVecHash{}(key) % shards_.size());
+  /// The sub-index a key of hash `h` (ValueVecHash) routes to. The modulo
+  /// distributes the same 64-bit hash the key tables use, so routing is
+  /// deterministic and free of representational bias (dictionary-backed
+  /// and inline strings hash identically).
+  size_t ShardOf(uint64_t h) const {
+    return shards_.size() == 1 ? 0 : static_cast<size_t>(h % shards_.size());
   }
 
-  BucketView FindIn(const SubIndex& sub, const ValueVec& key) const;
-  BucketView ViewOf(const Bucket& bucket) const;
+  BucketView FindIn(const SubIndex& sub, const ValueVec& key,
+                    uint64_t h) const;
+  BucketView ViewOf(const SubIndex& sub, const KeyDir& d) const;
 
   /// Writes `row`'s X-projection into `key`; false if it holds a NULL.
   bool ProjectKey(const Row& row, ValueVec* key) const;
 
-  /// Maintenance bodies; the caller holds `sub`'s write mutex or owns the
-  /// index outright (Build, Restore). `key` is the row's X-projection.
-  void InsertRow(SubIndex* sub, const ValueVec& key, const Row& row);
-  void DeleteRow(SubIndex* sub, const ValueVec& key, const Row& row);
+  /// \name Key table.
+  /// @{
+  /// Key id of `key` (hash `h`) in `sub`, or kEmptySlot. A miss reports
+  /// the free table slot the probe ended on.
+  uint32_t FindKey(const SubIndex& sub, const ValueVec& key, uint64_t h,
+                   size_t* free_slot) const;
+  uint64_t HashKey(const SubIndex& sub, uint32_t id) const;
+  /// Adds `key` as a new key id with an empty bucket; `free_slot` is
+  /// FindKey's miss report.
+  uint32_t AddKey(SubIndex* sub, const ValueVec& key, uint64_t h,
+                  size_t free_slot) const;
+  /// Drops key `id` (whose bucket just emptied) from the key table.
+  void RemoveKey(SubIndex* sub, uint32_t id) const;
+  /// Re-creates the key table with room for `num_keys` keys and inserts
+  /// every live key id.
+  void RebuildTable(SubIndex* sub, size_t num_keys) const;
+  /// @}
 
-  /// Entry position of `row`'s Y-projection in `bucket`, or -1. With a
-  /// slot table, a miss reports the free slot the probe ended on.
-  int64_t FindEntry(const Bucket& bucket, const Row& row,
+  /// \name Arena.
+  /// @{
+  /// Moves key `id`'s bucket to the arena's end with twice the room.
+  void GrowBucket(SubIndex* sub, uint32_t id) const;
+  /// Rewrites `sub` tightly in key-id order, dropping dead slots and
+  /// removed key ids.
+  void Compact(SubIndex* sub) const;
+  void MaybeCompact(SubIndex* sub) const;
+  /// @}
+
+  /// Maintenance bodies; the caller holds `sub`'s write mutex or owns the
+  /// index outright (Build, Restore). `key` is the row's X-projection and
+  /// `h` its hash.
+  void InsertRow(SubIndex* sub, const ValueVec& key, uint64_t h,
+                 const Row& row) const;
+  void DeleteRow(SubIndex* sub, const ValueVec& key, uint64_t h,
+                 const Row& row) const;
+
+  /// Key `id`'s slot table, or nullptr while its bucket scans linearly.
+  static std::vector<uint32_t>* SlotsOf(SubIndex* sub, uint32_t id);
+  /// Entry position of `row`'s Y-projection in bucket `d` (slot table
+  /// `slots`, or nullptr), or -1. With a slot table, a miss reports the
+  /// free slot the probe ended on.
+  int64_t FindEntry(const SubIndex& sub, const KeyDir& d,
+                    const std::vector<uint32_t>* slots, const Row& row,
                     size_t* free_slot) const;
-  bool EntryMatches(const Bucket& bucket, uint32_t entry,
-                    const Row& row) const;
+  bool EntryMatches(const SubIndex& sub, size_t slot, const Row& row) const;
   /// Y-tuple hashes (the ValueVecHash fold) of a row's Y-projection and
-  /// of a stored entry.
+  /// of the entry in arena slot `slot`.
   uint64_t HashRowY(const Row& row) const;
-  uint64_t HashEntry(const Bucket& bucket, uint32_t entry) const;
+  uint64_t HashEntry(const SubIndex& sub, size_t slot) const;
   /// Slot-table upkeep, for buckets past kLinearMax.
-  void RebuildSlots(Bucket* bucket) const;
-  size_t SlotOf(const Bucket& bucket, uint32_t entry) const;
-  void EraseSlot(Bucket* bucket, uint32_t entry) const;
+  void RebuildSlots(const SubIndex& sub, const KeyDir& d,
+                    std::vector<uint32_t>* slots) const;
+  size_t SlotOf(const SubIndex& sub, const KeyDir& d,
+                const std::vector<uint32_t>& slots, uint32_t entry) const;
+  void EraseSlot(const SubIndex& sub, const KeyDir& d,
+                 std::vector<uint32_t>* slots, uint32_t entry) const;
 
   AccessConstraint constraint_;
   std::vector<size_t> x_cols_;

@@ -621,7 +621,6 @@ Status DurabilityManager::WriteCheckpointSegments(
     SegmentRecord rec = UnitRecord(seg_dir, kind, name, shard);
     BEAS_RETURN_NOT_OK(
         WriteSegmentFile(env_, rec.path, kind, payload, &rec.crc));
-    rec.memory_crc = rec.crc;
     segments->push_back(std::move(rec));
     return Status::OK();
   };
@@ -930,7 +929,6 @@ Status DurabilityManager::VerifyCheckpoint(
     SegmentRecord rec = UnitRecord(seg_dir, kind, name, shard);
     BEAS_ASSIGN_OR_RETURN(SegmentView view, OpenSegment(env_, rec.path, kind));
     rec.crc = view.crc;
-    rec.memory_crc = view.crc;  // see RebaseRestoredIndexes
     segments->push_back(std::move(rec));
     return view;
   };
@@ -978,26 +976,6 @@ Status DurabilityManager::VerifySegment(const SegmentRecord& rec) const {
   return Status::OK();
 }
 
-void DurabilityManager::RebaseRestoredIndexes(const std::string& table) {
-  std::set<std::string> dirty;
-  {
-    std::lock_guard<std::mutex> lk(dirty_mutex_);
-    if (structural_dirty_) return;
-    dirty = dirty_tables_;
-  }
-  for (SegmentRecord& rec : current_segments_) {
-    if (rec.kind != SegmentKind::kIndex) continue;
-    Result<const AccessConstraint*> c = catalog_->schema().Find(rec.constraint);
-    const AcIndex* index = catalog_->IndexFor(rec.constraint);
-    if (!c.ok() || index == nullptr || dirty.count(ToLower((*c)->table)) != 0 ||
-        (!table.empty() && !EqualsIgnoreCase((*c)->table, table))) {
-      continue;
-    }
-    const std::string payload = BuildIndexPayload(*index);
-    rec.memory_crc = Crc32c(payload.data(), payload.size());
-  }
-}
-
 bool DurabilityManager::MemoryMatches(const SegmentRecord& rec) const {
   std::string payload;
   if (rec.kind == SegmentKind::kIndex) {
@@ -1023,7 +1001,7 @@ bool DurabilityManager::MemoryMatches(const SegmentRecord& rec) const {
       payload = BuildShardRowsPayload(heap, rec.shard);
     }
   }
-  return Crc32c(payload.data(), payload.size()) == rec.memory_crc;
+  return Crc32c(payload.data(), payload.size()) == rec.crc;
 }
 
 Status DurabilityManager::Recover() {
@@ -1169,7 +1147,6 @@ Status DurabilityManager::Recover() {
     recovery_replayed_records_.fetch_add(1, std::memory_order_relaxed);
   }
   next_lsn_.store(max_lsn + 1, std::memory_order_relaxed);
-  RebaseRestoredIndexes("");
   return Status::OK();
 }
 
@@ -1200,7 +1177,6 @@ Status DurabilityManager::ReloadTableFromCheckpoint(const std::string& table) {
   }();
   replaying_ = false;
   BEAS_RETURN_NOT_OK(reloaded);
-  RebaseRestoredIndexes(table);
 
   // Confirm the reload matches the checkpoint fingerprints: the table's
   // meta record (its first) checks the shard count, the rest their CRCs.

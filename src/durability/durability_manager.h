@@ -289,9 +289,6 @@ class DurabilityManager {
     std::string path;
     SegmentKind kind = SegmentKind::kManifest;
     uint32_t crc = 0;            ///< payload CRC recorded at write time
-    /// The in-memory unit's payload CRC when the baseline was taken: `crc`,
-    /// except for an index restored from disk (see RebaseRestoredIndexes).
-    uint32_t memory_crc = 0;
     std::string table;           ///< kTableMeta / kDict / kShardRows
     size_t shard = 0;            ///< kShardRows
     std::string constraint;      ///< kIndex
@@ -367,16 +364,12 @@ class DurabilityManager {
   /// and the payload CRC recorded for it.
   Status VerifySegment(const SegmentRecord& rec) const;
 
-  /// A restored AC index iterates its buckets in a different order than
-  /// the checkpoint wrote them in, so its memory baseline is re-taken
-  /// from the restored copy: for every index of `table` (of every table
-  /// when empty) that the scrubber will check, i.e. whose table no write
-  /// touched since the restore and with no structural change since.
-  void RebaseRestoredIndexes(const std::string& table);
-
   /// Recomputes the payload CRC of the in-memory unit `rec` was written
-  /// from and compares it with `memory_crc` (a table-meta record compares
-  /// the heap's shard count). True when the unit is no longer in memory.
+  /// from and compares it with `crc` (a table-meta record compares the
+  /// heap's shard count). True when the unit is no longer in memory. A
+  /// restored AC index serializes to exactly its segment's bytes (Restore
+  /// reproduces the bucket visit order), so restored units need no
+  /// baseline of their own.
   bool MemoryMatches(const SegmentRecord& rec) const;
 
   /// Parses a manifest / CKMETA file (segment-framed, kind kManifest).

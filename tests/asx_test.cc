@@ -320,6 +320,98 @@ TEST(AcIndexDifferentialTest, FlatBucketsMatchNaiveModel) {
   }
 }
 
+// The same model check at key-table scale: ~2000 keys per run, so each
+// sub-index's key table doubles several times; whole keys drain away and
+// come back (backward-shift deletion on the key table, removed key ids);
+// buckets relocate in the arena and dead slots trigger compaction, which
+// renumbers key ids. Phases: grow, churn over a shifted key range, drain
+// to empty, re-add — with sorted dictionary rebuilds mid-stream.
+TEST(AcIndexDifferentialTest, KeyTableMatchesNaiveModelAtScale) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TableHeap heap(Schema({{"k", TypeId::kInt64},
+                           {"a", TypeId::kInt64},
+                           {"s", TypeId::kString}}));
+    heap.set_num_shards(shards);
+    auto built = AcIndex::Build({"psi", "t", {"k"}, {"a", "s"}, 1000}, heap);
+    ASSERT_TRUE(built.ok());
+    AcIndex& index = **built;
+    NaiveIndexModel model;
+    Rng rng(77);
+    std::vector<SlotId> live;
+    size_t rebuilds = 0;
+    size_t peak_keys = 0;
+    int fresh = 0;
+    auto insert = [&](int64_t hot, int64_t key_lo, int64_t key_hi) {
+      // A few hot keys grow past the linear-scan limit (their slot tables
+      // must follow them through compactions that renumber key ids); the
+      // rest stay small, most of them single-entry.
+      int64_t k = rng.Chance(0.1) ? hot + rng.Uniform(0, 7)
+                                  : rng.Uniform(key_lo, key_hi);
+      std::string s = rng.Chance(0.9) ? "v" + std::to_string(rng.Uniform(0, 3))
+                                      : "w" + std::to_string(fresh++);
+      Row row{I(k), I(rng.Uniform(0, 40)), S(s)};
+      const Row* stored = nullptr;
+      live.push_back(heap.InsertUnchecked(row, &stored));
+      index.OnInsert(*stored);
+      model.Insert({row[0]}, {row[1], row[2]});
+    };
+    auto erase = [&]() {
+      size_t pick = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+      SlotId slot = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      const Row& row = heap.At(slot);
+      index.OnDelete(row);
+      model.Delete({row[0]}, {row[1], row[2]});
+      ASSERT_TRUE(heap.Delete(slot).ok());
+    };
+    auto checkpoint = [&](int step) {
+      if (step % 1500 == 1499) {
+        std::vector<uint32_t> old_to_new;
+        if (heap.RebuildDictSorted(&old_to_new)) {
+          index.RemapDictCodes(old_to_new);
+          ++rebuilds;
+        }
+      }
+      peak_keys = std::max(peak_keys, index.NumKeys());
+      if (step % 1000 == 999) {
+        ASSERT_NO_FATAL_FAILURE(model.ExpectMatches(index, heap.dict()));
+      }
+    };
+    int step = 0;
+    for (; step < 5000; ++step) {  // grow
+      insert(0, 8, 2600);
+      ASSERT_NO_FATAL_FAILURE(checkpoint(step));
+    }
+    for (; step < 11000; ++step) {  // churn, drifting to keys 2000..3200
+      if (rng.Chance(0.5)) {
+        insert(5000, 2000, 3200);
+      } else {
+        ASSERT_NO_FATAL_FAILURE(erase());
+      }
+      ASSERT_NO_FATAL_FAILURE(checkpoint(step));
+    }
+    model.ExpectMatches(index, heap.dict());
+    while (!live.empty()) {  // drain
+      ASSERT_NO_FATAL_FAILURE(erase());
+      ASSERT_NO_FATAL_FAILURE(checkpoint(step++));
+    }
+    model.ExpectMatches(index, heap.dict());
+    EXPECT_EQ(index.NumKeys(), 0u);
+    // Dead arena slots and removed key ids are reclaimed, not kept.
+    EXPECT_LE(index.HeldBytes(), 2 * index.ApproxBytes());
+    for (int i = 0; i < 3000; ++i, ++step) {  // re-add
+      insert(0, 8, 1500);
+      ASSERT_NO_FATAL_FAILURE(checkpoint(step));
+    }
+    model.ExpectMatches(index, heap.dict());
+    EXPECT_GE(peak_keys, 2000u);
+    EXPECT_GE(rebuilds, 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Footprint: one estimate for built indexes and for discovery's candidates,
 // checked against what the index's containers hold.
