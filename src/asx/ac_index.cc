@@ -57,20 +57,63 @@ Result<std::unique_ptr<AcIndex>> AcIndex::Build(AccessConstraint constraint,
                   heap.num_shards()));
   index->dict_ = heap.dict();
   // The index is not shared yet: no write mutex, and one scratch key
-  // reused across rows (InsertRow copies it only for a new key).
+  // reused across rows (AddKey copies it only for a new key).
+  //
+  // Counting walk: every key gets its id in first-appearance order (the
+  // order maintenance would give it) and counts its rows, an upper bound
+  // on its distinct Y-projections, in `n` (a key with n == 0 reads as
+  // removed to the key table's rehash). Each row's (sub-index, key id) is
+  // kept so the filling walk neither hashes nor probes again.
+  constexpr uint32_t kNotIndexed = kEmptySlot;
+  std::vector<std::pair<uint32_t, uint32_t>> row_keys;
+  row_keys.reserve(heap.NumRows());
   ValueVec key;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    if (!index->ProjectKey(it.row(), &key)) continue;
+    if (!index->ProjectKey(it.row(), &key)) {
+      row_keys.emplace_back(0, kNotIndexed);
+      continue;
+    }
     uint64_t h = ValueVecHash{}(key);
-    index->InsertRow(index->shards_[index->ShardOf(h)].get(), key, h,
-                     it.row());
+    size_t s = index->ShardOf(h);
+    SubIndex* sub = index->shards_[s].get();
+    size_t free_slot = 0;
+    uint32_t id = index->FindKey(*sub, key, h, &free_slot);
+    if (id == kEmptySlot) id = index->AddKey(sub, key, h, free_slot);
+    ++sub->dir[id].n;
+    row_keys.emplace_back(static_cast<uint32_t>(s), id);
   }
-  // Drop the growth slack of the walk: every bucket ends at its exact size.
-  for (std::unique_ptr<SubIndex>& sub : index->shards_) index->Compact(sub.get());
+  // Lay the buckets out back to back in key-id order, each with room for
+  // all of its rows, so no bucket moves while it fills.
+  size_t y_arity = index->y_cols_.size();
+  for (std::unique_ptr<SubIndex>& sub : index->shards_) {
+    uint32_t off = 0;
+    for (KeyDir& d : sub->dir) {
+      d = KeyDir{off, 0, d.n};
+      off += d.cap;
+    }
+    sub->cells.resize(size_t{off} * y_arity);
+    sub->mults.resize(off, 0);
+    sub->keys.shrink_to_fit();
+    sub->dir.shrink_to_fit();
+  }
+  // Filling walk, in the same row order: entry order and multiplicities
+  // are those of one InsertRow per row.
+  size_t r = 0;
+  for (auto it = heap.Begin(); it.Valid(); it.Next(), ++r) {
+    auto [s, id] = row_keys[r];
+    if (id == kNotIndexed) continue;
+    index->AddEntry(index->shards_[s].get(), id, it.row());
+  }
+  // A bucket whose rows repeated a Y-projection ends below its room;
+  // only then does its sub-index need the tight rewrite.
+  for (std::unique_ptr<SubIndex>& sub : index->shards_) {
+    sub->dead_slots = sub->mults.size() - sub->num_entries;
+    if (sub->dead_slots > 0) index->Compact(sub.get());
+  }
   return index;
 }
 
-bool AcIndex::ProjectKey(const Row& row, ValueVec* key) const {
+bool AcIndex::ProjectKey(RowRef row, ValueVec* key) const {
   key->clear();
   key->reserve(x_cols_.size());
   for (size_t c : x_cols_) {
@@ -164,7 +207,7 @@ void AcIndex::RemapDictCodes(const std::vector<uint32_t>& old_to_new) {
   }
 }
 
-void AcIndex::OnInsert(const Row& row) {
+void AcIndex::OnInsert(RowRef row) {
   ValueVec key;
   if (!ProjectKey(row, &key)) return;
   uint64_t h = ValueVecHash{}(key);
@@ -175,7 +218,7 @@ void AcIndex::OnInsert(const Row& row) {
   InsertRow(&sub, key, h, row);
 }
 
-void AcIndex::OnDelete(const Row& row) {
+void AcIndex::OnDelete(RowRef row) {
   ValueVec key;
   if (!ProjectKey(row, &key)) return;
   uint64_t h = ValueVecHash{}(key);
@@ -343,7 +386,7 @@ void AcIndex::MaybeCompact(SubIndex* sub) const {
 // Buckets.
 // ---------------------------------------------------------------------------
 
-uint64_t AcIndex::HashRowY(const Row& row) const {
+uint64_t AcIndex::HashRowY(RowRef row) const {
   uint64_t seed = kValueVecHashSeed;
   for (size_t c : y_cols_) HashCombine(&seed, row[c].Hash());
   return seed;
@@ -358,7 +401,7 @@ uint64_t AcIndex::HashEntry(const SubIndex& sub, size_t slot) const {
 }
 
 bool AcIndex::EntryMatches(const SubIndex& sub, size_t slot,
-                           const Row& row) const {
+                           RowRef row) const {
   size_t arity = y_cols_.size();
   const Value* cells = sub.cells.data() + slot * arity;
   for (size_t k = 0; k < arity; ++k) {
@@ -376,7 +419,7 @@ std::vector<uint32_t>* AcIndex::SlotsOf(SubIndex* sub, uint32_t id) {
 }
 
 int64_t AcIndex::FindEntry(const SubIndex& sub, const KeyDir& d,
-                           const std::vector<uint32_t>* slots, const Row& row,
+                           const std::vector<uint32_t>* slots, RowRef row,
                            size_t* free_slot) const {
   if (slots == nullptr) {
     for (uint32_t e = 0; e < d.n; ++e) {
@@ -431,10 +474,15 @@ void AcIndex::EraseSlot(const SubIndex& sub, const KeyDir& d,
 }
 
 void AcIndex::InsertRow(SubIndex* sub, const ValueVec& key, uint64_t h,
-                        const Row& row) const {
+                        RowRef row) const {
   size_t free_slot = 0;
   uint32_t id = FindKey(*sub, key, h, &free_slot);
   if (id == kEmptySlot) id = AddKey(sub, key, h, free_slot);
+  AddEntry(sub, id, row);
+}
+
+void AcIndex::AddEntry(SubIndex* sub, uint32_t id, RowRef row) const {
+  size_t free_slot = 0;
   std::vector<uint32_t>* slots = SlotsOf(sub, id);
   int64_t found = FindEntry(*sub, sub->dir[id], slots, row, &free_slot);
   if (found >= 0) {
@@ -462,7 +510,7 @@ void AcIndex::InsertRow(SubIndex* sub, const ValueVec& key, uint64_t h,
 }
 
 void AcIndex::DeleteRow(SubIndex* sub, const ValueVec& key, uint64_t h,
-                        const Row& row) const {
+                        RowRef row) const {
   uint32_t id = FindKey(*sub, key, h, nullptr);
   if (id == kEmptySlot) return;
   std::vector<uint32_t>* slots = SlotsOf(sub, id);

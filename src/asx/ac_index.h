@@ -47,8 +47,11 @@ class TaskPool;
 /// twice the room; a key whose bucket empties leaves the key table. The
 /// slots they leave behind are counted, and once dead slots (or dead key
 /// ids) outnumber live ones the sub-index is rewritten tightly in key-id
-/// order — amortized O(1) per write. Build compacts once after its heap
-/// walk; Restore appends each bucket at its exact size.
+/// order — amortized O(1) per write. Build counts each key's rows in a
+/// first heap walk, lays every bucket out at that size, and fills them in
+/// place in a second walk, compacting only a sub-index whose buckets
+/// deduplicated below their row counts; Restore appends each bucket at
+/// its exact size.
 ///
 /// Deduplication on insert scans a bucket's cells linearly while it holds
 /// at most kLinearMax entries. Past that it keeps an open-addressing table
@@ -154,10 +157,10 @@ class AcIndex {
   void RemapDictCodes(const std::vector<uint32_t>& old_to_new);
 
   /// Incremental maintenance on tuple insert (locks the key's sub-index).
-  void OnInsert(const Row& row);
+  void OnInsert(RowRef row);
 
   /// Incremental maintenance on tuple delete (locks the key's sub-index).
-  void OnDelete(const Row& row);
+  void OnDelete(RowRef row);
 
   const AccessConstraint& constraint() const { return constraint_; }
 
@@ -289,7 +292,7 @@ class AcIndex {
   BucketView ViewOf(const SubIndex& sub, const KeyDir& d) const;
 
   /// Writes `row`'s X-projection into `key`; false if it holds a NULL.
-  bool ProjectKey(const Row& row, ValueVec* key) const;
+  bool ProjectKey(RowRef row, ValueVec* key) const;
 
   /// \name Key table.
   /// @{
@@ -323,9 +326,13 @@ class AcIndex {
   /// index outright (Build, Restore). `key` is the row's X-projection and
   /// `h` its hash.
   void InsertRow(SubIndex* sub, const ValueVec& key, uint64_t h,
-                 const Row& row) const;
+                 RowRef row) const;
   void DeleteRow(SubIndex* sub, const ValueVec& key, uint64_t h,
-                 const Row& row) const;
+                 RowRef row) const;
+  /// Adds `row`'s Y-projection to key `id`'s bucket: one more multiplicity
+  /// for a present entry, else a new last entry (the bucket moves when it
+  /// is full).
+  void AddEntry(SubIndex* sub, uint32_t id, RowRef row) const;
 
   /// Key `id`'s slot table, or nullptr while its bucket scans linearly.
   static std::vector<uint32_t>* SlotsOf(SubIndex* sub, uint32_t id);
@@ -333,12 +340,12 @@ class AcIndex {
   /// `slots`, or nullptr), or -1. With a slot table, a miss reports the
   /// free slot the probe ended on.
   int64_t FindEntry(const SubIndex& sub, const KeyDir& d,
-                    const std::vector<uint32_t>* slots, const Row& row,
+                    const std::vector<uint32_t>* slots, RowRef row,
                     size_t* free_slot) const;
-  bool EntryMatches(const SubIndex& sub, size_t slot, const Row& row) const;
+  bool EntryMatches(const SubIndex& sub, size_t slot, RowRef row) const;
   /// Y-tuple hashes (the ValueVecHash fold) of a row's Y-projection and
   /// of the entry in arena slot `slot`.
-  uint64_t HashRowY(const Row& row) const;
+  uint64_t HashRowY(RowRef row) const;
   uint64_t HashEntry(const SubIndex& sub, size_t slot) const;
   /// Slot-table upkeep, for buckets past kLinearMax.
   void RebuildSlots(const SubIndex& sub, const KeyDir& d,

@@ -32,7 +32,7 @@ Result<ConformanceReport> VerifyConformance(
                      ValueVecHash, ValueVecEq>
       groups;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    const Row& row = it.row();
+    RowRef row = it.row();
     ValueVec key;
     key.reserve(x_cols.size());
     bool null_key = false;

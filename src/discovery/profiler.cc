@@ -36,7 +36,7 @@ Result<CandidateProfile> ProfileCandidate(const TableHeap& heap,
                      ValueVecHash, ValueVecEq>
       groups;
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    const Row& row = it.row();
+    RowRef row = it.row();
     ValueVec key;
     key.reserve(x_cols.size());
     bool null_key = false;

@@ -854,24 +854,23 @@ Status DurabilityManager::RestoreTable(const std::string& seg_dir,
   } else {
     heap->set_dict_enabled(false);
   }
-  std::vector<std::vector<Row>> rows(meta.num_shards);
-  std::vector<std::vector<uint8_t>> live(meta.num_shards);
+  BEAS_RETURN_NOT_OK(heap->BeginRestore(meta.num_shards));
   for (uint32_t s = 0; s < meta.num_shards; ++s) {
     BEAS_ASSIGN_OR_RETURN(
         SegmentView view,
         OpenSegment(env_,
                     SegmentPath(seg_dir, SegmentKind::kShardRows, table, s),
                     SegmentKind::kShardRows));
-    BEAS_ASSIGN_OR_RETURN(ShardRowsRestore restore,
-                          ParseShardRowsPayload(view.reader()));
     // The segment stores string bytes; swap back to dictionary codes now
-    // that the dictionary holds every string these rows ever interned.
-    for (Row& row : restore.rows) CanonicalizeRow(&row, heap->dict());
-    rows[s] = std::move(restore.rows);
-    live[s] = std::move(restore.live);
+    // that the dictionary holds every string these rows ever interned,
+    // and decode each row straight into the shard's pages.
+    BEAS_RETURN_NOT_OK(ParseShardRowsPayload(
+        view.reader(), [&](Row* row, bool live) {
+          CanonicalizeRow(row, heap->dict());
+          return heap->RestoreRow(s, row, live);
+        }));
   }
-  return heap->RestoreContent(std::move(rows), std::move(live), meta.directory,
-                              meta.shard_key_col);
+  return heap->FinishRestore(meta.directory, meta.shard_key_col);
 }
 
 Status DurabilityManager::RestoreIndex(const std::string& seg_dir,
@@ -894,7 +893,7 @@ Status DurabilityManager::RestoreIndex(const std::string& seg_dir,
       AcIndex::Restore(std::move(restore.constraint), heap,
                        std::move(restore.buckets)));
   // The heap predates this constraint's shard-key declaration or not — we
-  // cannot tell from here, but it does not matter: RestoreContent already
+  // cannot tell from here, but it does not matter: FinishRestore already
   // reinstated the recorded shard_key_col, and placement is historical.
   return catalog_->AdoptRestored(std::move(constraint), std::move(index));
 }

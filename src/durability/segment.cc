@@ -159,20 +159,20 @@ std::string BuildShardRowsPayload(const TableHeap& heap, size_t shard) {
   return sink.Take();
 }
 
-Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r) {
-  ShardRowsRestore out;
+Status ParseShardRowsPayload(
+    ByteReader r, const std::function<Status(Row* row, bool live)>& visit) {
   uint64_t count = r.GetU64();
   if (!r.ok() || count > r.remaining()) {
     return Status::IoError("truncated shard rows segment");
   }
-  out.rows.reserve(count);
-  out.live.reserve(count);
+  Row row;  // one decode buffer; `visit` may move the cells out
   for (uint64_t i = 0; i < count; ++i) {
-    out.live.push_back(r.GetU8());
-    BEAS_ASSIGN_OR_RETURN(Row row, ReadRow(&r));
-    out.rows.push_back(std::move(row));
+    bool live = r.GetU8() != 0;
+    row.clear();
+    BEAS_RETURN_NOT_OK(AppendRow(&r, &row).status());
+    BEAS_RETURN_NOT_OK(visit(&row, live));
   }
-  return out;
+  return Status::OK();
 }
 
 std::string BuildIndexPayload(const AcIndex& index) {
@@ -189,7 +189,7 @@ std::string BuildIndexPayload(const AcIndex& index) {
     WriteRow(&sink, key);
     sink.PutU32(static_cast<uint32_t>(bucket.size()));
     for (size_t b = 0; b < bucket.size(); ++b) {
-      WriteRow(&sink, bucket.cells + b * bucket.arity, bucket.arity);
+      WriteRow(&sink, RowRef(bucket.cells + b * bucket.arity, bucket.arity));
       sink.PutU64(bucket.mult(b));
     }
   });

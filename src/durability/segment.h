@@ -2,6 +2,7 @@
 #define BEAS_DURABILITY_SEGMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,11 +105,11 @@ struct DictRestore {
 };
 Result<DictRestore> ParseDictPayload(ByteReader r);
 
-struct ShardRowsRestore {
-  std::vector<Row> rows;          ///< strings inline; canonicalize after
-  std::vector<uint8_t> live;      ///< parallel to rows
-};
-Result<ShardRowsRestore> ParseShardRowsPayload(ByteReader r);
+/// Decodes a shard's rows one at a time, in local order, calling
+/// `visit(row, live)` for each (strings inline; canonicalize before
+/// storing). The table is never held as a second full copy of rows.
+Status ParseShardRowsPayload(
+    ByteReader r, const std::function<Status(Row* row, bool live)>& visit);
 
 struct IndexRestore {
   AccessConstraint constraint;

@@ -73,13 +73,9 @@ Result<Value> ReadValue(ByteReader* r) {
   return v;
 }
 
-void WriteRow(ByteSink* sink, const Value* cells, size_t count) {
-  sink->PutU32(static_cast<uint32_t>(count));
-  for (size_t i = 0; i < count; ++i) WriteValue(sink, cells[i]);
-}
-
-void WriteRow(ByteSink* sink, const Row& row) {
-  WriteRow(sink, row.data(), row.size());
+void WriteRow(ByteSink* sink, RowRef row) {
+  sink->PutU32(static_cast<uint32_t>(row.size()));
+  for (const Value& v : row) WriteValue(sink, v);
 }
 
 Result<uint32_t> AppendRow(ByteReader* r, std::vector<Value>* out) {

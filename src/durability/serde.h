@@ -116,9 +116,8 @@ class ByteReader {
 void WriteValue(ByteSink* sink, const Value& v);
 Result<Value> ReadValue(ByteReader* r);
 
-void WriteRow(ByteSink* sink, const Row& row);
-/// WriteRow over `count` cells stored elsewhere (a flat index bucket).
-void WriteRow(ByteSink* sink, const Value* cells, size_t count);
+/// Writes a row: a Row, a heap row, or cells of a flat index bucket.
+void WriteRow(ByteSink* sink, RowRef row);
 Result<Row> ReadRow(ByteReader* r);
 /// Reads one row and appends its cells to `out`; returns its arity.
 Result<uint32_t> AppendRow(ByteReader* r, std::vector<Value>* out);

@@ -61,10 +61,10 @@ Status Database::Insert(const std::string& table, Row row) {
   BEAS_RETURN_NOT_OK(heap->ValidateAndCoerce(&row));
   size_t shard = heap->ShardOf(row);
   std::unique_lock<std::shared_mutex> lock(ShardMutex(shard));
-  const Row* stored = nullptr;
+  RowRef stored;
   heap->InsertUnchecked(std::move(row), &stored, shard);
   info->InvalidateStats();
-  for (const WriteHook& hook : hooks_) hook(info->name(), *stored, true);
+  for (const WriteHook& hook : hooks_) hook(info->name(), stored, true);
   return Status::OK();
 }
 
@@ -117,9 +117,9 @@ Status Database::InsertBatch(const std::string& table, std::vector<Row> rows) {
   // Commit in batch order — bucket order (and thus answers) must match a
   // row-at-a-time history regardless of how rows spread across shards.
   for (size_t r = 0; r < commit_count; ++r) {
-    const Row* stored = nullptr;
+    RowRef stored;
     heap->InsertUnchecked(std::move(rows[r]), &stored, shards[r]);
-    for (const WriteHook& hook : hooks_) hook(info->name(), *stored, true);
+    for (const WriteHook& hook : hooks_) hook(info->name(), stored, true);
   }
   info->InvalidateStats();
   return bad;
@@ -138,7 +138,7 @@ Status Database::DeleteWhereEquals(const std::string& table, const Row& row) {
     locks.emplace_back(shard_mutexes_[s]);
   }
   for (auto it = heap->Begin(); it.Valid(); it.Next()) {
-    const Row& candidate = it.row();
+    RowRef candidate = it.row();
     if (candidate.size() != row.size()) continue;
     bool equal = true;
     for (size_t i = 0; i < row.size() && equal; ++i) {
@@ -147,10 +147,11 @@ Status Database::DeleteWhereEquals(const std::string& table, const Row& row) {
       if (!candidate[i].is_null() && candidate[i] != row[i]) equal = false;
     }
     if (equal) {
-      Row copy = candidate;
+      // A tombstone keeps its cells in place, so the hooks read the
+      // deleted row straight from its page.
       BEAS_RETURN_NOT_OK(heap->Delete(it.slot()));
       info->InvalidateStats();
-      for (const WriteHook& hook : hooks_) hook(info->name(), copy, false);
+      for (const WriteHook& hook : hooks_) hook(info->name(), candidate, false);
       return Status::OK();
     }
   }

@@ -172,8 +172,8 @@ class Database {
   /// (used by the AS Catalog maintenance module). See the thread-safety
   /// contract above: registration must precede concurrent use, and hooks
   /// must not re-enter the write path.
-  using WriteHook = std::function<void(const std::string& table,
-                                       const Row& row, bool is_insert)>;
+  using WriteHook = std::function<void(const std::string& table, RowRef row,
+                                       bool is_insert)>;
   void RegisterWriteHook(WriteHook hook) { hooks_.push_back(std::move(hook)); }
 
   /// Registers a hook invoked after every successful CreateTable (used by

@@ -10,7 +10,8 @@ Status SeqScanExecutor::Init() {
 Result<bool> SeqScanExecutor::Next(Row* out) {
   ScopedTimer timer(&millis_, ctx_->collect_timing);
   if (!it_.Valid()) return false;
-  *out = it_.row();
+  RowRef row = it_.row();
+  out->assign(row.begin(), row.end());
   it_.Next();
   ++tuples_accessed_;
   ++ctx_->base_tuples_read;

@@ -8,7 +8,7 @@ namespace beas {
 
 void MaintenanceManager::Attach() {
   db_->RegisterWriteHook(
-      [this](const std::string& table, const Row& row, bool is_insert) {
+      [this](const std::string& table, RowRef row, bool is_insert) {
         for (AcIndex* index : catalog_->IndexesForTable(table)) {
           if (is_insert) {
             index->OnInsert(row);

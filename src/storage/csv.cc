@@ -84,7 +84,7 @@ Status SaveCsv(const std::string& path, const TableHeap& heap) {
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open '" + path + "' for writing");
   for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-    const Row& row = it.row();
+    RowRef row = it.row();
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out << ',';
       out << row[i].ToCsv();

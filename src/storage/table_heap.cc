@@ -1,8 +1,37 @@
 #include "storage/table_heap.h"
 
 #include <cassert>
+#include <memory>
+#include <new>
 
 namespace beas {
+
+TableHeap::Shard::~Shard() {
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    std::destroy_n(blocks_[b],
+                   std::min(BlockRows(b), size_ - BlockStart(b)) * ncols_);
+    ::operator delete(blocks_[b]);
+  }
+}
+
+const Value* TableHeap::Shard::Append(Row* row, bool live) {
+  row->resize(ncols_);
+  if (size_ == BlockStart(blocks_.size())) {
+    size_t bytes =
+        BlockRows(blocks_.size()) * (ncols_ * sizeof(Value) + 1);
+    blocks_.push_back(static_cast<Value*>(::operator new(bytes)));
+  }
+  Value* cells = MutableCells(size_);
+  // Move-construct: long inline strings hand their block over, so
+  // reference counts stay exact.
+  for (size_t k = 0; k < ncols_; ++k) {
+    new (cells + k) Value(std::move((*row)[k]));
+  }
+  *MutableFlag(size_) = live ? 1 : 0;
+  ++size_;
+  num_live_ += live;
+  return cells;
+}
 
 Status TableHeap::ValidateAndCoerce(Row* row) const {
   if (row->size() != schema_.NumColumns()) {
@@ -37,7 +66,7 @@ void TableHeap::InternStrings(Row* row) {
   InternStringsLocked(row);
 }
 
-SlotId TableHeap::Place(Row row, const Row** stored, size_t shard) {
+SlotId TableHeap::Place(Row row, RowRef* stored, size_t shard) {
   if (shard == kShardAuto) {
     shard = ShardOf(row);
   } else {
@@ -54,18 +83,16 @@ SlotId TableHeap::Place(Row row, const Row** stored, size_t shard) {
     std::lock_guard<std::mutex> lock(directory_mutex_);
     slot = directory_.size();
     directory_.push_back({static_cast<uint32_t>(shard),
-                          static_cast<uint32_t>(sh.rows.size())});
+                          static_cast<uint32_t>(sh.size())});
   }
-  sh.rows.push_back(std::move(row));
-  sh.live.push_back(1);
-  ++sh.num_live;
+  const Value* cells = sh.Append(&row, true);
   num_live_.fetch_add(1, std::memory_order_relaxed);
   BumpVersionEpoch();
-  if (stored != nullptr) *stored = &sh.rows.back();
+  if (stored != nullptr) *stored = RowRef(cells, ncols_);
   return slot;
 }
 
-SlotId TableHeap::InsertUnchecked(Row row, const Row** stored, size_t shard) {
+SlotId TableHeap::InsertUnchecked(Row row, RowRef* stored, size_t shard) {
   if (dict_enabled_ && has_string_cols_) InternStrings(&row);
   return Place(std::move(row), stored, shard);
 }
@@ -75,10 +102,6 @@ void TableHeap::InsertBatchUnchecked(std::vector<Row> rows) {
     // One interning pass under one lock acquisition for the whole batch.
     std::lock_guard<std::mutex> lock(dict_mutex_);
     for (Row& row : rows) InternStringsLocked(&row);
-  }
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    directory_.reserve(directory_.size() + rows.size());
   }
   for (Row& row : rows) Place(std::move(row));
 }
@@ -94,13 +117,11 @@ bool TableHeap::RebuildDictSorted(std::vector<uint32_t>* old_to_new) {
   // Tombstoned rows are remapped too — a dangling old code in a dead row
   // would decode to the wrong string if the slot is ever inspected.
   for (Shard& sh : shards_) {
-    for (Row& row : sh.rows) {
-      for (Value& v : row) {
-        if (v.dict() == &dict_) {
-          v = Value::DictString(&dict_, (*old_to_new)[v.dict_code()]);
-        }
+    sh.ForEachCell([&](Value* v) {
+      if (v->dict() == &dict_) {
+        *v = Value::DictString(&dict_, (*old_to_new)[v->dict_code()]);
       }
-    }
+    });
   }
   return true;
 }
@@ -111,44 +132,50 @@ Status TableHeap::Delete(SlotId slot) {
   }
   const SlotRef& ref = directory_[slot];
   Shard& sh = shards_[ref.shard];
-  if (!sh.live[ref.local]) {
+  if (!sh.live(ref.local)) {
     return Status::InvalidArgument("slot " + std::to_string(slot) +
                                    " already deleted");
   }
-  sh.live[ref.local] = 0;
-  --sh.num_live;
+  sh.Kill(ref.local);
   num_live_.fetch_sub(1, std::memory_order_relaxed);
   BumpVersionEpoch();
   return Status::OK();
 }
 
-Status TableHeap::RestoreContent(
-    std::vector<std::vector<Row>> shard_rows,
-    std::vector<std::vector<uint8_t>> shard_live,
+Status TableHeap::BeginRestore(size_t num_shards) {
+  if (!directory_.empty() || num_live_.load() != 0) {
+    return Status::Internal("TableHeap::BeginRestore on non-empty heap");
+  }
+  if (num_shards == 0 || num_shards > kMaxStorageShards) {
+    return Status::Internal("TableHeap::BeginRestore bad shard count");
+  }
+  ResetShards(num_shards);
+  return Status::OK();
+}
+
+Status TableHeap::RestoreRow(size_t s, Row* row, bool live) {
+  if (s >= shards_.size() || !directory_.empty()) {
+    return Status::Internal("TableHeap::RestoreRow outside a restore");
+  }
+  if (row->size() != ncols_) {
+    return Status::Internal("TableHeap::RestoreRow row arity " +
+                            std::to_string(row->size()) + " != " +
+                            std::to_string(ncols_));
+  }
+  shards_[s].Append(row, live);
+  return Status::OK();
+}
+
+Status TableHeap::FinishRestore(
     const std::vector<std::pair<uint32_t, uint32_t>>& directory,
     int64_t shard_key_col) {
-  if (!directory_.empty() || num_live_.load() != 0) {
-    return Status::Internal("TableHeap::RestoreContent on non-empty heap");
+  if (!directory_.empty()) {
+    return Status::Internal("TableHeap::FinishRestore on non-empty heap");
   }
-  if (shard_rows.size() != shard_live.size() || shard_rows.empty() ||
-      shard_rows.size() > kMaxStorageShards) {
-    return Status::Internal("TableHeap::RestoreContent bad shard count");
-  }
-  shards_.clear();
-  shards_.resize(shard_rows.size());
   size_t total_slots = 0;
-  for (size_t s = 0; s < shard_rows.size(); ++s) {
-    if (shard_rows[s].size() != shard_live[s].size()) {
-      return Status::Internal("TableHeap::RestoreContent shard size mismatch");
-    }
-    Shard& sh = shards_[s];
-    sh.rows = std::move(shard_rows[s]);
-    sh.live = std::move(shard_live[s]);
-    for (uint8_t flag : sh.live) sh.num_live += flag != 0;
-    total_slots += sh.rows.size();
-  }
+  for (const Shard& sh : shards_) total_slots += sh.size();
   if (directory.size() != total_slots) {
-    return Status::Internal("TableHeap::RestoreContent directory size " +
+    return Status::Internal("TableHeap::FinishRestore directory size " +
                             std::to_string(directory.size()) + " != slots " +
                             std::to_string(total_slots));
   }
@@ -156,12 +183,13 @@ Status TableHeap::RestoreContent(
   size_t num_live = 0;
   for (const auto& ref : directory) {
     if (ref.first >= shards_.size() ||
-        ref.second >= shards_[ref.first].rows.size()) {
-      return Status::Internal("TableHeap::RestoreContent directory ref "
+        ref.second >= shards_[ref.first].size()) {
+      directory_.clear();
+      return Status::Internal("TableHeap::FinishRestore directory ref "
                               "out of range");
     }
     directory_.push_back({ref.first, ref.second});
-    num_live += shards_[ref.first].live[ref.second] != 0;
+    num_live += shards_[ref.first].live(ref.second);
   }
   num_live_.store(num_live, std::memory_order_relaxed);
   BumpVersionEpoch();
@@ -175,7 +203,9 @@ Status TableHeap::RestoreContent(
 std::vector<Row> TableHeap::Snapshot() const {
   std::vector<Row> out;
   out.reserve(NumRows());
-  for (Iterator it = Begin(); it.Valid(); it.Next()) out.push_back(it.row());
+  for (Iterator it = Begin(); it.Valid(); it.Next()) {
+    out.push_back(it.row().ToRow());
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef BEAS_STORAGE_TABLE_HEAP_H_
 #define BEAS_STORAGE_TABLE_HEAP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -19,12 +20,25 @@ namespace beas {
 using SlotId = size_t;
 
 /// \brief An in-memory row store with stable slots and tombstone deletes,
-/// hash-partitioned into N shards.
+/// hash-partitioned into N shards, each storing its rows in fixed pages.
 ///
 /// This is the storage substrate underneath both the conventional engine
 /// (sequential scans) and the access-constraint indices (which reference
 /// rows by slot). Slots are never reused, so a SlotId handed out by
 /// Insert remains valid (live or dead) for the heap's lifetime.
+///
+/// ## Row pages
+///
+/// A shard keeps its rows as `ncols` Value cells back to back in blocks
+/// that are allocated once and never move, each block followed by its
+/// rows' live flags. Every block past a shard's first kPageRows rows is
+/// one page of kPageRows rows; the first page is itself split into blocks
+/// of 16, 16, 32, …, kPageRows / 2 rows, so a tiny table does not pay a
+/// full page per shard. Cells are constructed only when a row is placed.
+/// A row costs its cells (ncols · 24 B), its live flag and one directory
+/// entry — no per-row allocation — and its address is stable for the
+/// heap's lifetime: readers see rows through RowRef views ({cells,
+/// arity}) that no later insert invalidates.
 ///
 /// ## Sharding
 ///
@@ -63,10 +77,15 @@ using SlotId = size_t;
 /// exposes it to the index and executor layers.
 class TableHeap {
  public:
+  /// Rows per page (see "Row pages"): a constant of the layout, not a
+  /// setting.
+  static constexpr size_t kPageRows = 4096;
+
   explicit TableHeap(Schema schema)
       : schema_(std::move(schema)),
-        shards_(ConfiguredShardCount()),
+        ncols_(schema_.NumColumns()),
         dict_enabled_(default_dict_enabled()) {
+    ResetShards(ConfiguredShardCount());
     for (const Column& c : schema_.columns()) {
       has_string_cols_ |= c.type == TypeId::kString;
     }
@@ -105,8 +124,7 @@ class TableHeap {
   /// per-heap basis); no-op with an error-free shrug once rows exist.
   void set_num_shards(size_t n) {
     if (directory_.empty() && n >= 1 && n <= kMaxStorageShards) {
-      shards_.clear();
-      shards_.resize(n);
+      ResetShards(n);
     }
   }
 
@@ -143,19 +161,16 @@ class TableHeap {
 
   /// Live rows currently stored in shard `s` (per-shard gauge; sample it
   /// under that shard's lock — see the stats snapshot in BeasService).
-  size_t ShardLiveRows(size_t s) const { return shards_[s].num_live; }
+  size_t ShardLiveRows(size_t s) const { return shards_[s].num_live(); }
 
-  /// Resident bytes of shard `s`'s rows (live and tombstoned): the row
-  /// vectors, their cells, the live flags and the rows' directory
+  /// Resident bytes of shard `s`'s rows (live and tombstoned): the
+  /// allocated page capacity (the cells and live flags of placed and not
+  /// yet placed rows, plus the block pointers) and the rows' directory
   /// entries. The dictionary is counted by DictGauges; the heap blocks of
   /// long inline strings (tables without a dictionary) are not counted.
   /// Same locking as ShardLiveRows.
   uint64_t ShardBytes(size_t s) const {
-    const Shard& shard = shards_[s];
-    return shard.rows.capacity() * sizeof(Row) +
-           shard.rows.size() * (schema_.NumColumns() * sizeof(Value) +
-                                sizeof(SlotRef)) +
-           shard.live.capacity();
+    return shards_[s].HeldBytes() + shards_[s].size() * sizeof(SlotRef);
   }
 
   /// \name Data version epoch.
@@ -220,21 +235,22 @@ class TableHeap {
   /// coercion). Returns the new slot.
   Result<SlotId> Insert(Row row);
 
-  /// Appends without validation; for bulk loads from trusted generators.
+  /// Appends without validation; for bulk loads from trusted generators
+  /// (a row of the wrong arity is padded with NULLs or cut to the schema).
   /// Interns string values like Insert does. `stored` (optional) receives
-  /// a pointer to the row as stored, readable by the inserting writer
+  /// a view of the row as stored, readable by the inserting writer
   /// without touching the cross-shard slot directory (which another
-  /// shard's writer may be appending to) — valid only until the next
-  /// insert lands in the same shard (the shard's row vector may then
-  /// reallocate), so consume it before releasing the shard lock.
-  /// `shard` (optional) is the row's precomputed ShardOf — callers that
-  /// route locking by it pass it down so lock and placement agree by
-  /// construction rather than by re-derivation.
-  SlotId InsertUnchecked(Row row, const Row** stored = nullptr,
+  /// shard's writer may be appending to); pages never move, so the view
+  /// stays valid for the heap's lifetime. `shard` (optional) is the row's
+  /// precomputed ShardOf — callers that route locking by it pass it down
+  /// so lock and placement agree by construction rather than by
+  /// re-derivation.
+  SlotId InsertUnchecked(Row row, RowRef* stored = nullptr,
                          size_t shard = kShardAuto);
 
-  /// Bulk append without validation: one reserve + one interning pass for
-  /// the whole batch (the natural grain for dictionary encoding).
+  /// Bulk append without validation: one interning pass for the whole
+  /// batch (the natural grain for dictionary encoding). The rows' cells
+  /// move into the pages; the emptied Row vectors are freed on return.
   void InsertBatchUnchecked(std::vector<Row> rows);
 
   /// Tombstones a slot. Errors if out of range or already dead.
@@ -244,13 +260,13 @@ class TableHeap {
   bool IsLive(SlotId slot) const {
     if (slot >= directory_.size()) return false;
     const SlotRef& ref = directory_[slot];
-    return shards_[ref.shard].live[ref.local] != 0;
+    return shards_[ref.shard].live(ref.local);
   }
 
   /// The row at `slot`; caller must ensure IsLive(slot).
-  const Row& At(SlotId slot) const {
+  RowRef At(SlotId slot) const {
     const SlotRef& ref = directory_[slot];
-    return shards_[ref.shard].rows[ref.local];
+    return ShardRowAt(ref.shard, ref.local);
   }
 
   /// Number of live rows.
@@ -268,7 +284,7 @@ class TableHeap {
     }
     bool Valid() const { return pos_ < heap_->directory_.size(); }
     SlotId slot() const { return pos_; }
-    const Row& row() const { return heap_->At(pos_); }
+    RowRef row() const { return heap_->At(pos_); }
     void Next() {
       ++pos_;
       SkipDead();
@@ -295,16 +311,19 @@ class TableHeap {
   /// directory. Caller holds the structural lock exclusively (export) or
   /// owns the heap outright (restore runs before the database is shared).
   /// @{
-  size_t ShardRowCount(size_t s) const { return shards_[s].rows.size(); }
-  const Row& ShardRowAt(size_t s, size_t i) const { return shards_[s].rows[i]; }
-  /// Test-only mutable access to a stored row: scrub tests flip a value
-  /// in place to simulate in-memory rot without going through any write
-  /// path (which would mark the table dirty and mask the corruption).
-  Row* MutableShardRowForTesting(size_t s, size_t i) {
-    return &shards_[s].rows[i];
+  size_t ShardRowCount(size_t s) const { return shards_[s].size(); }
+  RowRef ShardRowAt(size_t s, size_t i) const {
+    return RowRef(shards_[s].Cells(i), ncols_);
+  }
+  /// Test-only mutable access to a stored row's cells: scrub tests flip a
+  /// value in place to simulate in-memory rot without going through any
+  /// write path (which would mark the table dirty and mask the
+  /// corruption).
+  Value* MutableShardCellsForTesting(size_t s, size_t i) {
+    return shards_[s].MutableCells(i);
   }
   bool ShardRowLive(size_t s, size_t i) const {
-    return shards_[s].live[i] != 0;
+    return shards_[s].live(i);
   }
   std::pair<uint32_t, uint32_t> DirectorySlot(SlotId slot) const {
     const SlotRef& ref = directory_[slot];
@@ -312,27 +331,30 @@ class TableHeap {
   }
 
   /// Restores a checkpointed dictionary into this (empty) heap; see
-  /// StringDict::RestoreFrom. Must run before RestoreContent so restored
-  /// rows can be canonicalized against the final dictionary.
+  /// StringDict::RestoreFrom. Must run before the rows are restored so
+  /// they can be canonicalized against the final dictionary.
   Status RestoreDict(std::vector<std::string> strings, bool sorted,
                      uint64_t out_of_order, uint64_t rebuilds) {
     return dict_.RestoreFrom(std::move(strings), sorted, out_of_order,
                              rebuilds);
   }
 
-  /// Restores checkpointed storage into this (empty) heap: per-shard rows
-  /// and live flags, the global slot directory, and the shard key. Rows
-  /// must already hold their final representation (dictionary-backed
-  /// strings canonicalized against the restored dictionary) — restore
-  /// does NOT re-route or re-intern, because placement is historical: a
-  /// row inserted before the shard key was declared lives where the
-  /// row-hash fallback put it, and re-deriving placement would tear the
-  /// directory's invariants. The shard count is taken from `shard_rows`
-  /// (the checkpoint records it; it may differ from the configured
-  /// count).
-  Status RestoreContent(
-      std::vector<std::vector<Row>> shard_rows,
-      std::vector<std::vector<uint8_t>> shard_live,
+  /// Restores checkpointed storage into this (empty) heap in three
+  /// steps: BeginRestore with the checkpoint's shard count (it may differ
+  /// from the configured count), RestoreRow for every stored row of every
+  /// shard in local order (live and tombstoned; rows go straight into the
+  /// shard's pages), then FinishRestore with the global slot directory
+  /// and the shard key. Rows must already hold their final representation
+  /// (dictionary-backed strings canonicalized against the restored
+  /// dictionary) — restore does NOT re-route or re-intern, because
+  /// placement is historical: a row inserted before the shard key was
+  /// declared lives where the row-hash fallback put it, and re-deriving
+  /// placement would tear the directory's invariants.
+  Status BeginRestore(size_t num_shards);
+  /// Moves `row`'s cells into shard `s`'s pages; `row` is left with
+  /// moved-from values for the caller to reuse.
+  Status RestoreRow(size_t s, Row* row, bool live);
+  Status FinishRestore(
       const std::vector<std::pair<uint32_t, uint32_t>>& directory,
       int64_t shard_key_col);
   /// @}
@@ -344,12 +366,116 @@ class TableHeap {
     uint32_t local = 0;
   };
 
-  /// One hash partition of the row store.
-  struct Shard {
-    std::vector<Row> rows;
-    std::vector<uint8_t> live;
-    size_t num_live = 0;
+  /// One hash partition of the row store (see "Row pages"). Block b holds
+  /// BlockRows(b) rows: their cells back to back, then one live flag per
+  /// row.
+  class Shard {
+   public:
+    explicit Shard(size_t ncols) : ncols_(ncols) {}
+    Shard(Shard&& other) noexcept
+        : ncols_(other.ncols_),
+          size_(other.size_),
+          num_live_(other.num_live_),
+          blocks_(std::move(other.blocks_)) {
+      other.size_ = 0;
+      other.num_live_ = 0;
+      other.blocks_.clear();
+    }
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+    Shard& operator=(Shard&&) = delete;
+    ~Shard();
+
+    /// Rows placed (live and tombstoned).
+    size_t size() const { return size_; }
+    size_t num_live() const { return num_live_; }
+    bool live(size_t local) const { return *Flag(local) != 0; }
+    void Kill(size_t local) {
+      *MutableFlag(local) = 0;
+      --num_live_;
+    }
+    /// Bytes of the allocated blocks and of the block pointer array.
+    size_t HeldBytes() const {
+      return BlockStart(blocks_.size()) * (ncols_ * sizeof(Value) + 1) +
+             blocks_.capacity() * sizeof(Value*);
+    }
+
+    /// First cell of row `local` (< size()).
+    const Value* Cells(size_t local) const {
+      auto [b, offset] = Locate(local);
+      return blocks_[b] + offset * ncols_;
+    }
+    Value* MutableCells(size_t local) {
+      return const_cast<Value*>(std::as_const(*this).Cells(local));
+    }
+
+    /// Places `row` by moving its cells (after resizing it to the
+    /// arity); returns the stored cells.
+    const Value* Append(Row* row, bool live);
+
+    /// Calls `fn(Value*)` on every placed cell.
+    template <typename Fn>
+    void ForEachCell(Fn fn) {
+      for (size_t b = 0; b < blocks_.size(); ++b) {
+        size_t n = std::min(BlockRows(b), size_ - BlockStart(b)) * ncols_;
+        for (size_t i = 0; i < n; ++i) fn(&blocks_[b][i]);
+      }
+    }
+
+   private:
+    static constexpr size_t kFirstBlockLog2 = 4;
+    static constexpr size_t kFirstBlockRows = size_t{1} << kFirstBlockLog2;
+    /// Blocks that make up the first page: 16, 16, 32, …, kPageRows / 2.
+    static constexpr size_t kFirstPageBlocks =
+        static_cast<size_t>(__builtin_ctzll(kPageRows)) - kFirstBlockLog2 + 1;
+    static_assert((kPageRows & (kPageRows - 1)) == 0 &&
+                      kPageRows > kFirstBlockRows,
+                  "kPageRows must be a power of two above the first block");
+
+    /// Rows block `b` holds, and the shard-local row it starts at (the
+    /// start of block n is the capacity of blocks 0 .. n - 1).
+    static size_t BlockRows(size_t b) {
+      if (b == 0) return kFirstBlockRows;
+      return b < kFirstPageBlocks ? kFirstBlockRows << (b - 1) : kPageRows;
+    }
+    static size_t BlockStart(size_t b) {
+      if (b == 0) return 0;
+      return b < kFirstPageBlocks ? kFirstBlockRows << (b - 1)
+                                  : (b - kFirstPageBlocks + 1) * kPageRows;
+    }
+    /// The block holding shard-local row `local`, and its row in there.
+    static std::pair<size_t, size_t> Locate(size_t local) {
+      if (local >= kPageRows) {
+        return {kFirstPageBlocks - 1 + local / kPageRows, local % kPageRows};
+      }
+      if (local < kFirstBlockRows) return {0, local};
+      // Block b in 1 .. kFirstPageBlocks - 1 holds rows [2^(b+3), 2^(b+4)).
+      size_t msb = 63 - static_cast<size_t>(__builtin_clzll(local));
+      return {msb - kFirstBlockLog2 + 1, local - (size_t{1} << msb)};
+    }
+    /// Row `local`'s live flag, behind its block's cells.
+    const uint8_t* Flag(size_t local) const {
+      auto [b, offset] = Locate(local);
+      return reinterpret_cast<const uint8_t*>(blocks_[b] +
+                                              BlockRows(b) * ncols_) +
+             offset;
+    }
+    uint8_t* MutableFlag(size_t local) {
+      return const_cast<uint8_t*>(std::as_const(*this).Flag(local));
+    }
+
+    size_t ncols_;
+    size_t size_ = 0;
+    size_t num_live_ = 0;
+    std::vector<Value*> blocks_;  ///< raw storage, built on Append
   };
+
+  /// Replaces the shards with `n` empty ones.
+  void ResetShards(size_t n) {
+    shards_.clear();
+    shards_.reserve(n);
+    for (size_t s = 0; s < n; ++s) shards_.emplace_back(ncols_);
+  }
 
   /// Replaces inline string values of `row` with dictionary-backed ones.
   /// Serialized by dict_mutex_ (concurrent per-shard writers share the
@@ -362,10 +488,10 @@ class TableHeap {
   /// directory; returns the new global slot. `shard` is the caller's
   /// precomputed ShardOf (kShardAuto derives it here); interning must not
   /// change it — dict-backed and inline strings hash identically.
-  SlotId Place(Row row, const Row** stored = nullptr,
-               size_t shard = kShardAuto);
+  SlotId Place(Row row, RowRef* stored = nullptr, size_t shard = kShardAuto);
 
   Schema schema_;
+  size_t ncols_;
   std::vector<Shard> shards_;
   std::vector<SlotRef> directory_;  ///< global slot -> location, insert order
   std::atomic<size_t> num_live_{0};

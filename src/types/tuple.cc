@@ -4,7 +4,7 @@
 
 namespace beas {
 
-std::string RowToString(const Row& row) { return ValueVecToString(row); }
+std::string RowToString(RowRef row) { return ValueVecToString(row.ToRow()); }
 
 Row ProjectRow(const Row& row, const std::vector<size_t>& indices) {
   Row out;

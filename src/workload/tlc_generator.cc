@@ -77,13 +77,22 @@ Result<TlcStats> GenerateTlc(Database* db, const TlcOptions& options) {
     kCall = 0, kPackage, kBusiness, kCustomer, kMessage, kDataUsage,
     kTower, kHandoff, kComplaint, kPayment, kRoaming, kPromotion,
   };
-  // Rows are buffered per table and appended through the batch path at the
-  // end: one reserve and one dictionary-encoding pass per table instead of
-  // a per-row insert (the same write-batching grain BeasService::InsertBatch
-  // gives concurrent loaders).
+  // Rows are buffered per table and appended through the batch path every
+  // kFlushRows rows: one dictionary-encoding pass per batch instead of a
+  // per-row insert (the same write-batching grain BeasService::InsertBatch
+  // gives concurrent loaders). Flushing moves the cells into the heap's
+  // pages and frees the batch's Row vectors, whose chunks the next batch
+  // reuses, so the table is never resident twice. Row order within a
+  // table is the generation order either way.
+  constexpr size_t kFlushRows = 4096;
   std::vector<std::vector<Row>> pending(heaps.size());
+  auto flush = [&](size_t t) {
+    heaps[t]->InsertBatchUnchecked(std::move(pending[t]));
+    pending[t].clear();
+  };
   auto insert = [&](TableIdx t, Row row) {
     pending[t].push_back(std::move(row));
+    if (pending[t].size() == kFlushRows) flush(t);
     ++stats.rows_per_table[t];
     ++stats.total_rows;
   };
@@ -288,9 +297,7 @@ Result<TlcStats> GenerateTlc(Database* db, const TlcOptions& options) {
     }
   }
 
-  for (size_t t = 0; t < heaps.size(); ++t) {
-    heaps[t]->InsertBatchUnchecked(std::move(pending[t]));
-  }
+  for (size_t t = 0; t < heaps.size(); ++t) flush(t);
   return stats;
 }
 

@@ -94,7 +94,7 @@ TEST(AcIndexTest, EmptyYProjectionCountsRowsPerKey) {
   ASSERT_EQ(view.size(), 1u) << "one empty partial tuple per key";
   EXPECT_EQ(view.arity, 0u);
   EXPECT_EQ(view.mult(0), 3u);
-  (*index)->OnDelete({I(7), Dt("2016-03-15"), I(100), S("R1")});
+  (*index)->OnDelete(Row{I(7), Dt("2016-03-15"), I(100), S("R1")});
   EXPECT_EQ((*index)->LookupWithCounts({I(7), Dt("2016-03-15")}).mult(0), 2u);
 }
 
@@ -148,7 +148,7 @@ TEST(AcIndexTest, IncrementalEqualsRebuildProperty) {
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
       // Delete one matching live row from the heap.
       for (auto it = heap.Begin(); it.Valid(); it.Next()) {
-        if (ValueVecEq{}(it.row(), row)) {
+        if (ValueVecEq{}(it.row().ToRow(), row)) {
           ASSERT_TRUE(heap.Delete(it.slot()).ok());
           break;
         }
@@ -283,9 +283,9 @@ TEST(AcIndexDifferentialTest, FlatBucketsMatchNaiveModel) {
         Row row{rng.Chance(0.02) ? N() : I(rng.Uniform(0, 3)),
                 rng.Chance(0.05) ? N() : I(rng.Uniform(0, 12)),
                 S("v" + std::to_string(s))};
-        const Row* stored = nullptr;
+        RowRef stored;
         SlotId slot = heap.InsertUnchecked(row, &stored);
-        index.OnInsert(*stored);
+        index.OnInsert(stored);
         if (!row[0].is_null()) model.Insert({row[0]}, {row[1], row[2]});
         live.push_back(slot);
       } else {
@@ -294,7 +294,7 @@ TEST(AcIndexDifferentialTest, FlatBucketsMatchNaiveModel) {
         SlotId slot = live[pick];
         live[pick] = live.back();
         live.pop_back();
-        const Row& row = heap.At(slot);
+        RowRef row = heap.At(slot);
         index.OnDelete(row);
         if (!row[0].is_null()) model.Delete({row[0]}, {row[1], row[2]});
         ASSERT_TRUE(heap.Delete(slot).ok());
@@ -351,9 +351,9 @@ TEST(AcIndexDifferentialTest, KeyTableMatchesNaiveModelAtScale) {
       std::string s = rng.Chance(0.9) ? "v" + std::to_string(rng.Uniform(0, 3))
                                       : "w" + std::to_string(fresh++);
       Row row{I(k), I(rng.Uniform(0, 40)), S(s)};
-      const Row* stored = nullptr;
+      RowRef stored;
       live.push_back(heap.InsertUnchecked(row, &stored));
-      index.OnInsert(*stored);
+      index.OnInsert(stored);
       model.Insert({row[0]}, {row[1], row[2]});
     };
     auto erase = [&]() {
@@ -362,7 +362,7 @@ TEST(AcIndexDifferentialTest, KeyTableMatchesNaiveModelAtScale) {
       SlotId slot = live[pick];
       live[pick] = live.back();
       live.pop_back();
-      const Row& row = heap.At(slot);
+      RowRef row = heap.At(slot);
       index.OnDelete(row);
       model.Delete({row[0]}, {row[1], row[2]});
       ASSERT_TRUE(heap.Delete(slot).ok());

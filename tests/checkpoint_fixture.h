@@ -76,9 +76,9 @@ inline FixtureTable BuildTable(const std::string& name, size_t shards,
     out.indexes.push_back(std::move(*index));
   }
   auto insert = [&](const Row& row) {
-    const Row* stored = nullptr;
+    RowRef stored;
     heap->InsertUnchecked(row, &stored);
-    for (auto& index : out.indexes) index->OnInsert(*stored);
+    for (auto& index : out.indexes) index->OnInsert(stored);
   };
   auto erase = [&](SlotId slot) {
     for (auto& index : out.indexes) index->OnDelete(heap->At(slot));

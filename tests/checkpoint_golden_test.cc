@@ -100,20 +100,17 @@ FixtureTable Restore(const FixtureTable& original) {
   } else {
     heap->set_dict_enabled(false);
   }
-  std::vector<std::vector<Row>> rows(meta->num_shards);
-  std::vector<std::vector<uint8_t>> live(meta->num_shards);
+  EXPECT_TRUE(heap->BeginRestore(meta->num_shards).ok());
   for (uint32_t s = 0; s < meta->num_shards; ++s) {
-    Result<durability::ShardRowsRestore> shard =
-        durability::ParseShardRowsPayload(
-            ReaderOf(GoldenBytes(name + ".s" + std::to_string(s))));
-    EXPECT_TRUE(shard.ok());
-    for (Row& row : shard->rows) durability::CanonicalizeRow(&row, heap->dict());
-    rows[s] = std::move(shard->rows);
-    live[s] = std::move(shard->live);
+    Status parsed = durability::ParseShardRowsPayload(
+        ReaderOf(GoldenBytes(name + ".s" + std::to_string(s))),
+        [&](Row* row, bool live) {
+          durability::CanonicalizeRow(row, heap->dict());
+          return heap->RestoreRow(s, row, live);
+        });
+    EXPECT_TRUE(parsed.ok()) << parsed.ToString();
   }
-  EXPECT_TRUE(heap->RestoreContent(std::move(rows), std::move(live),
-                                   meta->directory, meta->shard_key_col)
-                  .ok());
+  EXPECT_TRUE(heap->FinishRestore(meta->directory, meta->shard_key_col).ok());
   for (const auto& index : original.indexes) {
     Result<durability::IndexRestore> parsed = durability::ParseIndexPayload(
         ReaderOf(GoldenBytes(index->constraint().name + ".idx")));

@@ -232,7 +232,7 @@ TEST_F(EngineTest, InsertAndDeleteAffectQueries) {
 TEST_F(EngineTest, WriteHooksFire) {
   int inserts = 0;
   int deletes = 0;
-  db_.RegisterWriteHook([&](const std::string& table, const Row&, bool ins) {
+  db_.RegisterWriteHook([&](const std::string& table, RowRef, bool ins) {
     EXPECT_EQ(table, "dept");
     ins ? ++inserts : ++deletes;
   });

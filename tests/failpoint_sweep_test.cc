@@ -543,7 +543,7 @@ struct ScrubFixture {
       ++shard;
     }
     ASSERT_TRUE(heap->ShardRowLive(shard, 0));
-    (*heap->MutableShardRowForTesting(shard, 0))[1] = I(424242);
+    heap->MutableShardCellsForTesting(shard, 0)[1] = I(424242);
   }
 };
 

@@ -246,7 +246,7 @@ TEST(DatabaseContractTest, ReentrantWriteFromHookIsRejected) {
   ASSERT_TRUE(db.CreateTable("t", Schema({{"x", TypeId::kInt64}})).ok());
   Status inner = Status::OK();
   bool attempted = false;
-  db.RegisterWriteHook([&](const std::string&, const Row&, bool) {
+  db.RegisterWriteHook([&](const std::string&, RowRef, bool) {
     if (attempted) return;  // only re-enter once
     attempted = true;
     inner = db.Insert("t", {I(99)});
